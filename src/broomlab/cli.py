@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -215,7 +216,10 @@ def cmd_survey(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a parser can serve any
+    number of ``parse_args`` calls, and building one takes milliseconds."""
     parser = argparse.ArgumentParser(
         prog="broomlab",
         description="Graph laboratory for multibroom containment, cores, "
@@ -246,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("lemma-check", help="run a named property suite")
-    sub.add_argument("--suite", required=True, choices=sorted(SUITES))
+    # The registry itself, not a copy: the parser outlives this call and
+    # must see suites registered later.
+    sub.add_argument("--suite", required=True, choices=SUITES)
     sub.add_argument("--trials", type=int, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out")

@@ -8,39 +8,33 @@ All arithmetic is exact integer arithmetic; the tower entry
 parameters, which is the whole reason the pipeline never runs at the
 true constants.
 
-Exponentiation routes through gmpy2 when available (the pure-int
-fallback is exact but slow for the largest grid points).
+A power that would exceed ``SERIALIZE_BITS_CAP`` bits is never
+materialized: it stays a :class:`~broomlab.bignum.PowerSum`, whose bit
+length, residues and comparisons are exact without the digits.
 """
 
 from __future__ import annotations
 
+import ast
 import json
-import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .structures import Params
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    def _mpz(x):  # type: ignore
-        return x
+if TYPE_CHECKING:
+    from .bignum import PowerSum
 
-
-def _ipow(base: int, exp: int) -> int:
-    return int(_mpz(base) ** _mpz(exp))
-
-
-# Decimal rendering of truly enormous entries is quadratic-ish and can
-# dwarf every other cost; above this many bits we serialize a summary.
+# Nothing reads the digits of truly enormous entries, and producing them
+# would dwarf every other cost: an entry above this many bits serializes
+# as a bit-length summary, and a power above it is never materialized.
 SERIALIZE_BITS_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
 class LedgerEntry:
     key: str      # dotted display name, e.g. "strong_contacts.s2"
-    value: int
+    value: int | PowerSum
     rule: str     # bound family the entry belongs to
     formula: str  # expression over params and earlier entries
 
@@ -54,7 +48,7 @@ class ConstantsLedger:
     params: Params
     entries: tuple[LedgerEntry, ...]
 
-    def value(self, key: str) -> int:
+    def value(self, key: str) -> int | PowerSum:
         for e in self.entries:
             if e.key == key:
                 return e.value
@@ -75,13 +69,13 @@ class ConstantsLedger:
             },
             "entries": [],
         }
+        from .bignum import decimal_string  # not loaded by ``import broomlab``
+
         for e in self.entries:
             bl = e.value.bit_length()
             item = {"key": e.key, "rule": e.rule, "formula": e.formula}
             if bl <= bits_cap:
-                if hasattr(sys, "set_int_max_str_digits"):
-                    sys.set_int_max_str_digits(max(20000, bl))
-                item["decimal"] = str(_mpz(e.value))
+                item["decimal"] = decimal_string(int(e.value))
             else:
                 item["decimal"] = None
                 item["bit_length"] = bl
@@ -93,6 +87,18 @@ class ConstantsLedger:
         return json.dumps(self.to_json_dict(), indent=2, **kw)
 
 
+def _pow(base: int | PowerSum, exp: int | PowerSum) -> int | PowerSum:
+    """``base ** exp``, kept symbolic when it certainly has more than
+    ``SERIALIZE_BITS_CAP`` bits.  The one exponentiation of the ledger
+    and of :func:`reevaluate`."""
+    if (isinstance(base, int) and isinstance(exp, int) and base >= 2
+            and (base.bit_length() - 1) * exp >= SERIALIZE_BITS_CAP):
+        from .bignum import PowerSum
+
+        return PowerSum([(base, exp, 1)])
+    return base**exp
+
+
 def gamma_of(p: Params) -> int:
     return (2 * p.delta * p.tau + 1) * (2 * p.delta + 1)
 
@@ -102,7 +108,7 @@ def epsilon_of(p: Params) -> int:
 
 
 def dense_bound_of(p: Params) -> int:
-    return p.alpha * p.tau * _ipow(2, p.beta * p.zeta)
+    return p.alpha * p.tau * 2 ** (p.beta * p.zeta)
 
 
 def strong_s_of(p: Params) -> int:
@@ -145,10 +151,10 @@ def ledger(p: Params) -> ConstantsLedger:
     d, t, al, be, ze = p.delta, p.tau, p.alpha, p.beta, p.zeta
     entries: list[LedgerEntry] = []
 
-    def add(key: str, rule: str, formula: str, value: int) -> int:
-        entries.append(LedgerEntry(key=key, value=int(value), rule=rule,
+    def add(key: str, rule: str, formula: str, value: int | PowerSum) -> int | PowerSum:
+        entries.append(LedgerEntry(key=key, value=value, rule=rule,
                                    formula=formula))
-        return int(value)
+        return value
 
     gamma = add(
         "gamma", "gamma",
@@ -163,7 +169,7 @@ def ledger(p: Params) -> ConstantsLedger:
     add(
         "dense_count.bound", "dense_count",
         "alpha*tau*2**(beta*zeta)",
-        al * t * _ipow(2, be * ze),
+        al * t * _pow(2, be * ze),
     )
     add(
         "partial_clean2.d", "partial_clean2",
@@ -231,12 +237,12 @@ def ledger(p: Params) -> ConstantsLedger:
     nt3 = add("nested.t3", "nested", "2*delta*nested_t4", 2 * d * nt4)
     nt2 = add("nested.t2", "nested",
               "(alpha*tau*2**(beta*zeta) + 1)*nested_t3",
-              (al * t * _ipow(2, be * ze) + 1) * nt3)
+              (al * t * _pow(2, be * ze) + 1) * nt3)
     nt1 = add("nested.t1", "nested", "nested_t2**nested_s2",
-              _ipow(nt2, ns2))
+              _pow(nt2, ns2))
     add("nested.t", "nested",
         "1 + 2**nested_s2*delta*tau + nested_t1",
-        1 + _ipow(2, ns2) * d * t + nt1)
+        1 + _pow(2, ns2) * d * t + nt1)
 
     sq = add("shadow_chi.q", "shadow_chi", "2*delta + nested_s", 2 * d + ns)
     sr = add(
@@ -254,27 +260,43 @@ def ledger(p: Params) -> ConstantsLedger:
     return ConstantsLedger(params=p, entries=tuple(entries))
 
 
-def reevaluate(lg: ConstantsLedger) -> dict[str, int]:
+class _PowToCall(ast.NodeTransformer):
+    """Rewrites ``a ** b`` into ``_pow(a, b)``."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        call = ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
+
+
+def reevaluate(lg: ConstantsLedger) -> dict[str, int | PowerSum]:
     """Independently recompute every entry by evaluating its stored
     formula string over the parameters and earlier entries.
 
-    This shares no arithmetic with :func:`ledger`; it reads the strings.
-    Values come back as plain ints keyed like the ledger.
+    This shares no arithmetic with :func:`ledger` beyond ``_pow``: each
+    ``**`` of a formula is rewritten into a call to it, so that a huge
+    power stays symbolic here too.  Values come back keyed like the
+    ledger.
     """
     p = lg.params
     env: dict[str, object] = {
-        "delta": _mpz(p.delta),
-        "tau": _mpz(p.tau),
-        "alpha": _mpz(p.alpha),
-        "beta": _mpz(p.beta),
-        "zeta": _mpz(p.zeta),
-        "eta": _mpz(p.eta),
+        "delta": p.delta,
+        "tau": p.tau,
+        "alpha": p.alpha,
+        "beta": p.beta,
+        "zeta": p.zeta,
+        "eta": p.eta,
     }
-    out: dict[str, int] = {}
+    scope = {"__builtins__": {}, "_pow": _pow}
+    out: dict[str, int | PowerSum] = {}
     for e in lg.entries:
-        value = eval(e.formula, {"__builtins__": {}}, env)  # noqa: S307
+        tree = _PowToCall().visit(ast.parse(e.formula, mode="eval"))
+        code = compile(ast.fix_missing_locations(tree), e.key, "eval")
+        value = eval(code, scope, env)  # noqa: S307
         env[e.symbol] = value
-        out[e.key] = int(value)
+        out[e.key] = value
     return out
 
 

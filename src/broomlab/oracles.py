@@ -2,7 +2,8 @@
 
 These deliberately share no code with the optimized operations they
 check: containment is enumerated in plain vertex order, chromatic
-number by exhaustive k-labeling, cores by direct part enumeration.
+number by exhaustive k-labeling, clique number by subset enumeration,
+cores by direct part enumeration.
 Keep them dumb; their value is independence.
 """
 
@@ -40,6 +41,16 @@ def chromatic_number_oracle(g: Graph) -> int:
         if assign(k, 0, [-1] * n):
             return k
     return n
+
+
+def clique_number_oracle(g: Graph) -> int:
+    """Largest k such that some k-subset of the vertices is a clique,
+    by enumerating subsets from the largest size down."""
+    for k in range(g.n, 0, -1):
+        for sub in combinations(range(g.n), k):
+            if all(v in g.adj[u] for u, v in combinations(sub, 2)):
+                return k
+    return 0
 
 
 def contains_induced_oracle(host: Graph, pattern: Graph) -> bool:

@@ -101,23 +101,23 @@ def clique_number(
     def color_bound(cand: int) -> list[tuple[int, int]]:
         # Greedy colour classes over the candidate set; vertex v may join
         # the first class containing none of its neighbours.  Returns
-        # (vertex, colour-count-so-far) in branching order.
+        # (vertex, colour-count-so-far) in branching order.  The count
+        # bounds the clique among v and every vertex before it, and it is
+        # non-decreasing along the order, which is what lets ``expand``
+        # stop at the first vertex whose bound cannot beat the incumbent.
         order: list[tuple[int, int]] = []
         classes: list[int] = []
         c = cand
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            placed = False
             for i, cls in enumerate(classes):
                 if not (cls & bits[v]):
                     classes[i] |= 1 << v
-                    order.append((v, i + 1))
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append(1 << v)
-                order.append((v, len(classes)))
+            order.append((v, len(classes)))
         return order
 
     def expand(current: list[int], cand: int) -> None:

@@ -331,15 +331,16 @@ def suite_pipeline(instances: int = 100, seed: int = 0) -> SuiteResult:
     return result
 
 
+# In alphabetical order: ``broomlab lemma-check`` lists them in this order.
 SUITES = {
-    "containment": suite_containment,
     "chromatic": suite_chromatic,
-    "digraph": suite_digraph,
-    "private_cover": suite_private_cover,
-    "stable_removal": suite_stable_removal,
+    "containment": suite_containment,
     "core": suite_core,
     "daisy": suite_daisy,
+    "digraph": suite_digraph,
     "pipeline": suite_pipeline,
+    "private_cover": suite_private_cover,
+    "stable_removal": suite_stable_removal,
 }
 
 

@@ -1,8 +1,15 @@
+import dataclasses
+import itertools
 import json
+import random
+import sys
 
 import pytest
 
+from broomlab.bignum import PowerSum, UndecidedComparison, decimal_string
 from broomlab.constants import (
+    SERIALIZE_BITS_CAP,
+    ConstantsLedger,
     compose_phi,
     dense_bound_of,
     epsilon_of,
@@ -137,3 +144,126 @@ def test_serialization_truncates_huge_entries():
     assert by_key["strong_contacts.s"]["decimal"] is None
     assert by_key["strong_contacts.s"]["truncated"] is True
     assert by_key["strong_contacts.s"]["bit_length"] == 498 .bit_length()
+
+
+PRIMES = (1_000_000_007, 998_244_353, 2_305_843_009_213_693_951)
+
+
+def test_power_sum_matches_its_materialization():
+    rng = random.Random(5)
+    values = [
+        PowerSum(
+            [(rng.choice((2, 3, 6, 10, 4112, 65537)), rng.randint(1, 900),
+              rng.randint(1, 5)) for _ in range(rng.randint(1, 3))],
+            rng.choice((0, 1, rng.getrandbits(rng.randint(1, 1500)))),
+        )
+        for _ in range(40)
+    ]
+    # Equal values written differently.
+    values += [PowerSum([(2, 701, 1), (2, 700, 1)]), PowerSum([(2, 700, 3)]),
+               PowerSum([(3, 600, 1)], 7), PowerSum([(9, 300, 1)], 7)]
+    ints = [int(v) for v in values]
+    for v, n in zip(values, ints):
+        assert v.bit_length() == n.bit_length()
+        assert [v % m for m in PRIMES] == [n % m for m in PRIMES]
+        assert hash(v) == hash(n)
+        assert v == n and not v < n and v <= n and v >= n
+        assert int(3 * v + v + 1) == 4 * n + 1
+        assert v * 0 == 0 and type(v * 0) is int
+        for k in (n - 1, n + 1, 0, -5):
+            assert (v < k, v > k, v == k) == (n < k, n > k, n == k)
+    for (x, a), (y, b) in itertools.product(zip(values, ints), repeat=2):
+        assert (x == y, x < y, x <= y, x > y, x >= y) == (a == b, a < b, a <= b, a > b, a >= b)
+    x = values[0]
+    for bad in (lambda: x - 1, lambda: x * -1, lambda: x ** 2, lambda: x + -1):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ValueError):
+        PowerSum([(1, 5, 1)])
+
+
+def _materialized(lg: ConstantsLedger) -> dict[str, int]:
+    """The stored formulas evaluated in plain int arithmetic, tower and all."""
+    env = {name: getattr(lg.params, name)
+           for name in ("delta", "tau", "alpha", "beta", "zeta", "eta")}
+    for e in lg.entries:
+        env[e.symbol] = eval(e.formula, {"__builtins__": {}}, env)
+    return {e.key: env[e.symbol] for e in lg.entries}
+
+
+def test_symbolic_ledger_matches_full_materialization():
+    # The acceptance grid up to (2, 1, 2), the largest point whose tower
+    # (17,075,648 bits) is still cheap to materialize.
+    grid = [(d, t, b) for d in (1, 2) for t in (0, 1, 2) for b in (2, 3)][:9]
+    for d, t, b in grid:
+        lg = ledger(Params.with_minimal_sides(delta=d, tau=t, beta=b))
+        again = reevaluate(lg)
+        full = _materialized(lg)
+        symbolic = isinstance(lg.value("nested.t1"), PowerSum)
+        assert symbolic == ((d, t, b) == (2, 1, 2))
+        for e in lg.entries:
+            n = full[e.key]
+            assert e.value.bit_length() == n.bit_length()
+            assert [e.value % m for m in PRIMES] == [n % m for m in PRIMES]
+            assert again[e.key] == e.value
+        for x, y in itertools.product(lg.entries, repeat=2):
+            a, b_ = full[x.key], full[y.key]
+            assert (x.value == y.value, x.value < y.value) == (a == b_, a < b_)
+        plain = ConstantsLedger(lg.params, tuple(
+            dataclasses.replace(e, value=full[e.key]) for e in lg.entries))
+        assert plain.to_json() == lg.to_json()
+
+
+@pytest.mark.parametrize("point, bits", [
+    ((2, 1, 3), 40_423_354),
+    ((2, 2, 2), 113_018_492),
+    ((2, 2, 3), 262_563_096),
+])
+def test_tower_points_beyond_the_benchmark_grid(point, bits):
+    d, t, b = point
+    lg = ledger(Params.with_minimal_sides(delta=d, tau=t, beta=b))
+    again = reevaluate(lg)
+    assert all(again[e.key] == e.value for e in lg.entries)
+    assert lg.value("nested.t1").bit_length() == bits
+    assert lg.value("nested.t").bit_length() == bits
+    assert lg.value("nested.t1") < lg.value("nested.t")
+    by_key = {e["key"]: e for e in lg.to_json_dict()["entries"]}
+    assert by_key["nested.t"]["bit_length"] == bits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        log2 = mpmath.log(lg.value("nested.t2"), 2) * lg.value("nested.s2")
+        assert int(mpmath.floor(log2)) + 1 == bits
+        # nested.t exceeds nested.t1 by 2**s2*delta*tau + 1, a relative
+        # 2**-(bits/2) or less: far too little to carry into a new bit.
+        assert log2 - mpmath.floor(log2) < 0.9
+
+
+def test_undecidable_comparison_is_refused():
+    b = 3 ** 700_000  # b**2 has more bits than any bound computes with
+    x, y = PowerSum([(b, 2, 1)]), PowerSum([(b * b, 1, 1)])
+    # One number in two forms: the residues agree and no interval
+    # within the precision ceiling is exact.
+    with pytest.raises(UndecidedComparison):
+        x == y
+    with pytest.raises(UndecidedComparison):
+        x < y
+    assert x == PowerSum([(b, 2, 1)])
+    assert x < x + 1 and x + y > y and x != x + 1
+
+
+def test_decimal_rendering_matches_str():
+    rng = random.Random(9)
+    # str() is quadratic, so the largest case stays well below the cap;
+    # the renderer runs the same code at every size above its leaves.
+    sizes = [1, 63, 1023, 1024, 1025, 4097, 20_000, 100_003, 1 << 19]
+    sizes += [rng.randint(1, 50_000) for _ in range(20)]
+    numbers = [0, 10**4000, 10**4000 - 1, 1 << 100_000]
+    numbers += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+    assert max(numbers).bit_length() <= SERIALIZE_BITS_CAP
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in numbers:
+            assert decimal_string(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(old)

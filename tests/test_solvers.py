@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from broomlab.generators import erdos_renyi
 from broomlab.graphs import Graph, induced
+from broomlab.oracles import clique_number_oracle
 from broomlab.solvers import (
     Coloring,
     InstanceTooLarge,
@@ -41,6 +43,21 @@ def test_clique_numbers(pet, k5):
     assert clique_number(k5) == (5, (0, 1, 2, 3, 4))
     assert clique_number(Graph(0)) == (0, ())
     assert len(witness) == 2 and witness[1] in pet.adj[witness[0]]
+
+
+def test_clique_number_matches_subset_oracle():
+    # erdos_renyi(10, 0.5, 4) has a 5-clique that a non-monotone colour
+    # bound used to prune away.
+    cases = [erdos_renyi(10, 0.5, 4)]
+    rng = random.Random(2024)
+    cases += [random_graph(rng, rng.randint(1, 14), rng.choice((0.3, 0.5, 0.7)))
+              for _ in range(150)]
+    for g in cases:
+        omega, witness = clique_number(g)
+        assert omega == clique_number_oracle(g)
+        assert len(witness) == omega
+        assert all(v in g.adj[u] for u in witness for v in witness if u != v)
+    assert clique_number(cases[0])[0] == 5
 
 
 def test_chi_local(c5):
