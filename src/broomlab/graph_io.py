@@ -23,6 +23,7 @@ def _parse_edgelist(text: str, path: str) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
+    first_seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,6 +47,12 @@ def _parse_edgelist(text: str, path: str) -> Graph:
             raise GraphParseError(path, line_no, f"self-loop at {u}")
         if n is not None and not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(path, line_no, f"endpoint out of range 0..{n - 1}")
+        key = (min(u, v), max(u, v))
+        if key in first_seen:
+            raise GraphParseError(
+                path, line_no, f"edge {u} {v} repeats line {first_seen[key]}"
+            )
+        first_seen[key] = line_no
         edges.append((u, v))
     if n is None:
         raise GraphParseError(path, 1, "missing 'n m' header")

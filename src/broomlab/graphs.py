@@ -7,7 +7,7 @@ mutate after construction, so they can be shared freely across workers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 4096
 
@@ -157,8 +157,9 @@ def check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     return fs
 
 
-def neighborhood_exact(g: Graph, v: int, k: int) -> frozenset[int]:
-    """Vertices at distance exactly k from v; k=0 gives {v}."""
+def _bfs_levels(g: Graph, v: int, k: int) -> tuple[set[int], set[int]]:
+    """Breadth-first search from v up to depth k: the last level reached
+    (distance exactly k, or empty) and every vertex seen."""
     g.check_vertex(v)
     if k < 0:
         raise ValueError("distance must be nonnegative")
@@ -172,25 +173,17 @@ def neighborhood_exact(g: Graph, v: int, k: int) -> frozenset[int]:
         seen |= level
         if not level:
             break
-    return frozenset(level)
+    return level, seen
+
+
+def neighborhood_exact(g: Graph, v: int, k: int) -> frozenset[int]:
+    """Vertices at distance exactly k from v; k=0 gives {v}."""
+    return frozenset(_bfs_levels(g, v, k)[0])
 
 
 def neighborhood_closed(g: Graph, v: int, k: int) -> frozenset[int]:
     """Vertices at distance at most k from v."""
-    g.check_vertex(v)
-    if k < 0:
-        raise ValueError("distance must be nonnegative")
-    seen = {v}
-    level = {v}
-    for _ in range(k):
-        nxt: set[int] = set()
-        for u in level:
-            nxt |= g.adj[u]
-        level = nxt - seen
-        seen |= level
-        if not level:
-            break
-    return frozenset(seen)
+    return frozenset(_bfs_levels(g, v, k)[1])
 
 
 def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -218,6 +211,34 @@ def is_stable(g: Graph, s: Iterable[int]) -> bool:
             if v in g.adj[u]:
                 return False
     return True
+
+
+def least_stable_subset(
+    g: Graph, cand: Sequence[int], need: int
+) -> list[int] | None:
+    """Positions in ``cand`` of its lexicographically least ``need``
+    members that are pairwise nonadjacent, or ``None`` when none exist.
+
+    Order is list order, so the caller decides what "least" means; a
+    vertex listed twice may be chosen twice.
+    """
+    bits = g.bits
+    chosen: list[int] = []
+
+    def grow(start: int, blocked: int) -> bool:
+        if len(chosen) == need:
+            return True
+        for k in range(start, len(cand)):
+            v = cand[k]
+            if blocked >> v & 1:
+                continue
+            chosen.append(k)
+            if grow(k + 1, blocked | bits[v]):
+                return True
+            chosen.pop()
+        return False
+
+    return chosen if grow(0, 0) else None
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

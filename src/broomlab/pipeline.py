@@ -28,7 +28,6 @@ from .templates import (
     clean1,
     clean2,
     clean3,
-    cleanliness_holds,
     extract_template_array,
     validate_template_array,
 )
@@ -72,8 +71,6 @@ class PipelineTrace:
 
 def _check_stage(name: str, arr: TemplateArray) -> None:
     problems = validate_template_array(arr)
-    if not cleanliness_holds(arr):
-        problems.append("declared cleanliness predicate fails")
     if problems:
         raise StageError(name, problems)
 
@@ -106,7 +103,7 @@ def run_pipeline(
     _check_stage("clean3", arr4)
     stages.append(("clean3", arr4, rep4))
 
-    sub, back = induced(g, leftover)
+    sub, _ = induced(g, leftover)
     leftover_core_free = find_core(sub, p.zeta, p.beta, limit=limit) is None
 
     shadow = build_shadowing(arr4)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constants import nested_s_of, shadow_chi_bound_of
-from .graphs import Digraph, Graph, check_vertex_set, induced, is_stable
+from .graphs import (
+    Digraph,
+    Graph,
+    check_vertex_set,
+    induced,
+    is_stable,
+    least_stable_subset,
+)
 from .solvers import chromatic_number
 from .structures import is_matching_covered
 from .templates import (
@@ -199,35 +206,16 @@ def find_daisy(
                 by_block.setdefault(j, []).append(q)
             for j in sorted(by_block):
                 cand = by_block[j]
-                picked = _stable_subset(g, cand, p.delta)
+                picked = least_stable_subset(g, cand, p.delta)
                 if picked is not None:
                     return Daisy(
                         root=root,
                         eye=eye,
-                        petals=frozenset(picked),
+                        petals=frozenset(cand[k] for k in picked),
                         root_index=i,
                         petal_index=j,
                     )
     return None
-
-
-def _stable_subset(g: Graph, cand: list[int], need: int) -> list[int] | None:
-    chosen: list[int] = []
-
-    def grow(start: int) -> bool:
-        if len(chosen) == need:
-            return True
-        for k in range(start, len(cand)):
-            v = cand[k]
-            if any(v in g.adj[c] for c in chosen):
-                continue
-            chosen.append(v)
-            if grow(k + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if grow(0) else None
 
 
 def validate_bunch(
@@ -602,7 +590,7 @@ def strong_triple_audit(
         cand = sorted(
             q for q in g.adj[v] & pool if avoid is None or q not in g.adj[avoid]
         )
-        return _stable_subset(g, cand, delta) is not None
+        return least_stable_subset(g, cand, delta) is not None
 
     triples: dict[int, list[tuple[int, int, int]]] = {}
     for i in range(n):

@@ -23,6 +23,10 @@ class CoreWitness:
     """b disjoint stable parts of size a, pairwise completely joined."""
 
     parts: tuple[frozenset[int], ...]
+    _vertices: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
 
     @property
     def a(self) -> int:
@@ -33,10 +37,7 @@ class CoreWitness:
         return len(self.parts)
 
     def vertices(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for p in self.parts:
-            out |= p
-        return out
+        return self._vertices
 
 
 def verify_core(g: Graph, core: CoreWitness, a: int, b: int) -> bool:
@@ -95,7 +96,6 @@ class Params:
     beta: int = 2
     zeta: int = 2
     eta: int = 1
-    kappa: int = 0
     theta: ThetaTable = field(default_factory=ThetaTable.identity)
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ class Params:
             raise ValueError("alpha must be at least 1")
         if self.beta < 2:
             raise ValueError("beta must be at least 2")
-        if min(self.tau, self.zeta, self.eta, self.kappa) < 0:
+        if min(self.tau, self.zeta, self.eta) < 0:
             raise ValueError("parameters must be nonnegative")
 
     @staticmethod
@@ -136,9 +136,12 @@ def find_core(
 ) -> CoreWitness | None:
     """Search for an (a,b)-core, lexicographically least parts first.
 
-    Parts are built in increasing order of their minimum vertex;
-    candidates for part j must be adjacent to every chosen vertex of
-    parts before j (cross-completeness pruning).
+    Parts are built in increasing order of their minimum vertex, and
+    inside a part vertices are tried in increasing id.  Candidate sets
+    are bitmasks over ``g.bits``: candidates for part j must be adjacent
+    to every chosen vertex of parts before j (cross-completeness
+    pruning), and choosing v removes its neighbours from the part's
+    remaining candidates, which keeps the part stable.
     """
     if a < 1 or b < 1:
         raise ValueError("core dimensions must be positive")
@@ -148,47 +151,42 @@ def find_core(
     if a * b > g.n:
         return None
 
-    adj = g.adj
+    bits = g.bits
     parts: list[list[int]] = []
 
-    def build_part(common: list[int], floor: int) -> CoreWitness | None:
+    def build_part(common: int, floor: int) -> CoreWitness | None:
         """Choose the next stable a-subset of ``common`` whose minimum
         exceeds ``floor``, then recurse."""
         part: list[int] = []
 
-        def grow(start: int) -> CoreWitness | None:
+        def grow(cand: int) -> CoreWitness | None:
             if len(part) == a:
-                new_common = [
-                    v
-                    for v in common
-                    if v not in part and all(v in adj[u] for u in part)
-                ]
                 parts.append(part.copy())
                 if len(parts) == b:
                     out = CoreWitness(tuple(frozenset(p) for p in parts))
-                    parts.pop()
-                    return out
-                found = build_part(new_common, part[0])
+                else:
+                    rest = common
+                    for u in part:
+                        rest &= bits[u]
+                    out = build_part(rest, part[0])
                 parts.pop()
-                if found:
-                    return found
+                return out
+            if cand.bit_count() < a - len(part):
                 return None
-            for idx in range(start, len(common)):
-                v = common[idx]
-                if not part and v <= floor:
-                    continue
-                if any(v in adj[u] for u in part):
-                    continue
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
                 part.append(v)
-                found = grow(idx + 1)
+                found = grow(cand & ~bits[v])
                 if found:
                     return found
                 part.pop()
             return None
 
-        return grow(0)
+        return grow(common >> (floor + 1) << (floor + 1))
 
-    return build_part(list(range(g.n)), -1)
+    return build_part((1 << g.n) - 1, -1)
 
 
 def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:

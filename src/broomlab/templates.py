@@ -13,8 +13,10 @@ already-clean input.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .constants import (
     dense_bound_of,
@@ -25,7 +27,7 @@ from .constants import (
     shadow_chi_bound_of,
     strong_s_of,
 )
-from .graphs import Digraph, Graph, induced
+from .graphs import Digraph, Graph, induced, least_stable_subset
 from .solvers import Coloring, chromatic_number, greedy_coloring
 from .structures import (
     CoreWitness,
@@ -162,12 +164,6 @@ def validate_template_array(arr: TemplateArray) -> list[str]:
             f"declared cleanliness {arr.cleanliness!r} does not hold"
         )
     return problems
-
-
-def assert_valid(arr: TemplateArray) -> None:
-    problems = validate_template_array(arr)
-    if problems:
-        raise ValueError("invalid template array: " + "; ".join(problems[:5]))
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +724,13 @@ class AuditReport:
 
 def _gate(
     arr: TemplateArray,
+    holds: Callable[[], bool],
     required: str,
     side_ok: bool,
     side_msg: str,
 ) -> tuple[str, str] | None:
-    """None means run; otherwise (status, reason)."""
+    """None means run; otherwise (status, reason).  ``holds`` answers
+    whether the declared cleanliness predicate holds."""
     if CLEANLINESS_RANK[arr.cleanliness] < CLEANLINESS_RANK[required]:
         return (
             "skipped",
@@ -740,7 +738,7 @@ def _gate(
         )
     if not side_ok:
         return ("skipped", side_msg)
-    if not cleanliness_holds(arr):
+    if not holds():
         return (
             "precondition_failed",
             f"declared cleanliness {arr.cleanliness!r} fails verification",
@@ -767,10 +765,13 @@ def bound_audit(
     ys = arr.y_sets()
     verts = sorted(arr.vertices())
     checks: dict[str, AuditCheck] = {}
+    # The array is immutable, so its predicate is evaluated at most once.
+    holds = functools.cache(lambda: cleanliness_holds(arr))
 
     # Vertices touching many cores.
     gate = _gate(
         arr,
+        holds,
         "clean1",
         p.zeta >= max(p.eta + p.delta, p.alpha),
         "needs zeta >= max(eta + delta, alpha)",
@@ -798,7 +799,7 @@ def bound_audit(
 
     # Vertices touching many templates.
     side = p.eta >= p.delta and p.zeta >= max(p.eta, p.alpha) + p.delta
-    gate = _gate(arr, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
+    gate = _gate(arr, holds, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
     if gate:
         checks["template_contacts"] = AuditCheck(
             "template_contacts", gate[0], reason=gate[1]
@@ -823,7 +824,7 @@ def bound_audit(
         )
 
     # Templates heavily attached to many other templates.
-    gate = _gate(arr, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
+    gate = _gate(arr, holds, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
     if gate:
         checks["strong_contacts"] = AuditCheck(
             "strong_contacts", gate[0], reason=gate[1]
@@ -876,6 +877,7 @@ def bound_audit(
     # Second-neighbourhood template contacts.
     gate = _gate(
         arr,
+        holds,
         "clean3",
         nested_side_conditions_ok(p),
         "needs eta >= alpha + 2*(delta+1)^3*(epsilon+1)^2 and zeta >= eta + delta",
@@ -915,7 +917,7 @@ def bound_audit(
             "shadow_chi", "skipped", reason="no privatization supplied"
         )
     else:
-        gate = _gate(arr, "clean2", True, "")
+        gate = _gate(arr, holds, "clean2", True, "")
         if gate:
             checks["shadow_chi"] = AuditCheck("shadow_chi", gate[0], reason=gate[1])
         else:
@@ -970,30 +972,6 @@ class WitnessResult:
     @property
     def found(self) -> bool:
         return self.embedding is not None
-
-
-def _stable_indices(
-    g: Graph, carriers: dict[int, int], need: int
-) -> list[int] | None:
-    """Lexicographically least set of ``need`` indices whose carrier
-    vertices are pairwise nonadjacent."""
-    idx = sorted(carriers)
-    chosen: list[int] = []
-
-    def grow(start: int) -> bool:
-        if len(chosen) == need:
-            return True
-        for k in range(start, len(idx)):
-            i = idx[k]
-            if any(carriers[i] in g.adj[carriers[j]] for j in chosen):
-                continue
-            chosen.append(i)
-            if grow(k + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if grow(0) else None
 
 
 def extract_T_delta_witness(
@@ -1082,14 +1060,16 @@ def extract_T_delta_witness(
     best_achieved = 0
     chosen = None
     for cls in sorted(classes, key=lambda c: (-len(c), c)):
-        sub = {i: carriers[i] for i in cls}
-        picked = _stable_indices(g, sub, 2 * delta)
+        # Least index set whose carriers are pairwise nonadjacent.
+        idx = sorted(cls)
+        carried = [carriers[i] for i in idx]
+        picked = least_stable_subset(g, carried, 2 * delta)
         if picked is not None:
-            chosen = picked
+            chosen = [idx[k] for k in picked]
             break
         probe = 2 * delta - 1
         while probe > best_achieved:
-            if _stable_indices(g, sub, probe) is not None:
+            if least_stable_subset(g, carried, probe) is not None:
                 best_achieved = probe
                 break
             probe -= 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, check_vertex_set
+from .graphs import Graph, check_vertex_set, least_stable_subset
 from .solvers import DEFAULT_SOLVER_LIMIT, InstanceTooLarge
 
 
@@ -282,24 +282,10 @@ def find_rooted_broom(
             for v in host.adj[far] & pool
             if v not in body and not any(v in host.adj[p] for p in path[:-1])
         )
-        chosen: list[int] = []
-
-        def pick(start: int) -> bool:
-            if len(chosen) == leaves:
-                return True
-            for idx in range(start, len(cand)):
-                v = cand[idx]
-                if any(v in host.adj[c] for c in chosen):
-                    continue
-                chosen.append(v)
-                if pick(idx + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if not pick(0):
+        picked = least_stable_subset(host, cand, leaves)
+        if picked is None:
             return None
-        hosts = path + chosen
+        hosts = path + [cand[k] for k in picked]
         pairs = tuple((p, hosts[p]) for p in range(len(hosts)))
         emb = Embedding(pairs)
         if not verify_embedding(host, pattern, emb):

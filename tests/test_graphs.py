@@ -10,6 +10,7 @@ from broomlab.graphs import (
     induced,
     is_clique,
     is_stable,
+    least_stable_subset,
     neighborhood_closed,
     neighborhood_exact,
 )
@@ -64,6 +65,17 @@ def test_stable_and_clique(c4, c5, k4):
     assert not is_stable(c5, {0, 1})
     assert is_stable(c5, set()) and is_clique(c5, set())
     assert is_stable(c5, {2}) and is_clique(c5, {2})
+
+
+def test_least_stable_subset(c5):
+    # Positions into the list, least first in list order.
+    assert least_stable_subset(c5, [0, 1, 2, 3, 4], 2) == [0, 2]
+    assert least_stable_subset(c5, [4, 3, 2, 1, 0], 2) == [0, 2]
+    assert least_stable_subset(c5, [0, 1, 2, 3, 4], 3) is None
+    assert least_stable_subset(c5, [1, 0], 2) is None
+    assert least_stable_subset(c5, [], 0) == []
+    # A repeated vertex is not adjacent to itself.
+    assert least_stable_subset(c5, [3, 3], 2) == [0, 1]
 
 
 def test_graph_construction_rules():

@@ -58,6 +58,22 @@ def test_parse_errors_name_lines(tmp_path):
         assert fragment in str(err.value)
 
 
+def test_edgelist_rejects_repeated_edges(tmp_path):
+    # "3 2 / 0 1 / 1 0" names one edge twice; it must not pass as the two
+    # edges its header promises.
+    for text, line in (("3 2\n0 1\n1 0\n", 3), ("3 3\n0 1\n1 2\n# c\n0 1\n", 5)):
+        f = tmp_path / "dup.edges"
+        f.write_text(text)
+        with pytest.raises(GraphParseError) as err:
+            read_graph(f)
+        assert err.value.line_no == line
+        assert f"dup.edges:{line}: edge" in str(err.value)
+        assert "repeats line 2" in str(err.value)
+    f = tmp_path / "ok.edges"
+    f.write_text("3 2\n0 1\n2 1\n")
+    assert read_graph(f) == Graph(3, [(0, 1), (1, 2)])
+
+
 def test_render_graph_sorted():
     g = Graph(3, [(2, 1), (1, 0)])
     assert render_graph(g) == "3 2\n0 1\n1 2\n"

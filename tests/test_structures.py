@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from broomlab.generators import erdos_renyi
 from broomlab.graphs import Graph
 from broomlab.oracles import find_core_oracle
+from broomlab.solvers import InstanceTooLarge
 from broomlab.structures import (
     CoreWitness,
     Params,
@@ -26,6 +30,46 @@ def test_find_core_examples(c4, c5, k5):
     assert find_core_oracle(c5, 2, 2) is None
     small = find_core(k5, 1, 3)
     assert small is not None and verify_core(k5, small, 1, 3)
+
+
+def test_find_core_matches_oracle_witness():
+    # The exact parts, in order, not just existence: both searches take
+    # the lexicographically least parts, minimum vertices increasing.
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 11)
+        g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.7, 0.85)), rng.getrandbits(32))
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        core = find_core(g, a, b)
+        want = find_core_oracle(g, a, b)
+        assert (core.parts if core else None) == want, (g.sorted_edges(), a, b)
+        found += core is not None
+    assert 50 < found < 350  # both outcomes are exercised
+
+
+def test_find_core_floor_rule():
+    # Vertex 0 sees every vertex of the C4 on 1..4, so it stays a
+    # candidate for the second part although it lies below that part's
+    # floor (the minimum of the first part); it is in no (2,2)-core.
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 1)] + [(0, v) for v in range(1, 5)])
+    core = find_core(g, 2, 2)
+    assert core.parts == (frozenset({1, 3}), frozenset({2, 4}))
+    assert core.parts == find_core_oracle(g, 2, 2)
+    assert find_core(g, 1, 3).parts == find_core_oracle(g, 1, 3)
+
+
+def test_find_core_beyond_64_vertices():
+    # Bitmasks wider than a machine word: the core uses ids above 64.
+    n = 70
+    parts = ({0, 65, 67}, {1, 66, 69})
+    g = Graph(n, [(u, v) for u in parts[0] for v in parts[1]] + [(2, 68)])
+    with pytest.raises(InstanceTooLarge):
+        find_core(g, 3, 2)
+    core = find_core(g, 3, 2, limit=n)
+    assert core.parts == tuple(frozenset(p) for p in parts)
+    assert verify_core(g, core, 3, 2)
+    assert find_core(g, 3, 3, limit=n) is None
 
 
 def test_find_core_oracle_200():
