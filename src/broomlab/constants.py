@@ -16,8 +16,10 @@ length, residues and comparisons are exact without the digits.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 from dataclasses import dataclass
+from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
 from .structures import Params
@@ -271,6 +273,13 @@ class _PowToCall(ast.NodeTransformer):
         return ast.copy_location(call, node)
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(formula: str, key: str) -> CodeType:
+    """The formula string with ``**`` rewritten to ``_pow``, compiled once."""
+    tree = _PowToCall().visit(ast.parse(formula, mode="eval"))
+    return compile(ast.fix_missing_locations(tree), key, "eval")
+
+
 def reevaluate(lg: ConstantsLedger) -> dict[str, int | PowerSum]:
     """Independently recompute every entry by evaluating its stored
     formula string over the parameters and earlier entries.
@@ -292,9 +301,7 @@ def reevaluate(lg: ConstantsLedger) -> dict[str, int | PowerSum]:
     scope = {"__builtins__": {}, "_pow": _pow}
     out: dict[str, int | PowerSum] = {}
     for e in lg.entries:
-        tree = _PowToCall().visit(ast.parse(e.formula, mode="eval"))
-        code = compile(ast.fix_missing_locations(tree), e.key, "eval")
-        value = eval(code, scope, env)  # noqa: S307
+        value = eval(_compiled(e.formula, e.key), scope, env)  # noqa: S307
         env[e.symbol] = value
         out[e.key] = value
     return out

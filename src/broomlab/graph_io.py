@@ -66,6 +66,7 @@ def _parse_edgelist(text: str, path: str) -> Graph:
 def _parse_dimacs(text: str, path: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
+    first_seen: dict[tuple[int, int], int] = {}
     declared = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -92,6 +93,13 @@ def _parse_dimacs(text: str, path: str) -> Graph:
                 raise GraphParseError(path, line_no, f"self-loop at {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphParseError(path, line_no, f"endpoint out of range 1..{n}")
+            key = (min(u, v), max(u, v))
+            if key in first_seen:
+                first = first_seen[key]
+                raise GraphParseError(
+                    path, line_no, f"edge {u + 1} {v + 1} repeats line {first}"
+                )
+            first_seen[key] = line_no
             edges.append((u, v))
         else:
             raise GraphParseError(path, line_no, f"unknown record {parts[0]!r}")

@@ -24,7 +24,7 @@ from .graphs import (
     is_stable,
     least_stable_subset,
 )
-from .solvers import chromatic_number
+from .solvers import DEFAULT_SOLVER_LIMIT, chromatic_number
 from .structures import is_matching_covered
 from .templates import (
     Template,
@@ -503,7 +503,7 @@ def privatize(
         cover_decomposition=pc.decomposition,
         b_source=pc.b_prime,
     )
-    cap = 64 if limit is None else limit
+    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
 
     def chi_or_none(verts: frozenset[int]) -> int | None:
         if len(verts) > cap:
@@ -649,7 +649,7 @@ def strong_triple_audit(
     )
 
     rest_union = arr.u - priv.pi
-    cap = 64 if limit is None else limit
+    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
     chi_rest = None
     if len(rest_union) <= cap:
         sub, _ = induced(g, rest_union)

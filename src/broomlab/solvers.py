@@ -1,9 +1,17 @@
 """Exact chromatic number, clique number, and the radius-k chromatic measure.
 
 All results here are exact.  Oversized instances are refused with
-:class:`InstanceTooLarge`; nothing is silently approximated.  A greedy
-DSATUR colouring exists as an internal upper-bound helper only and is
-never reported as the chromatic number.
+:class:`InstanceTooLarge`; nothing is silently approximated.
+
+``clique_number`` is a colour-bounded branch and bound on neighbour
+bitmasks.  ``chromatic_number`` takes the clique number as its lower
+bound and a greedy DSATUR colouring as its upper bound, then asks a
+DSATUR backtracking search for a k-colouring at each k in between.  That
+search also runs on bitmasks: one forbidden-vertex mask per colour and
+bit-sliced saturation counters, so choosing the next vertex costs
+O(log k) big-int operations.  The greedy colouring is an upper bound
+only and is never reported as the chromatic number unless the clique
+bound meets it.
 """
 
 from __future__ import annotations
@@ -142,56 +150,62 @@ def clique_number(
 
 
 def _k_colorable(g: Graph, k: int) -> Coloring | None:
-    """Backtracking k-colourability with DSATUR branching.
+    """Backtracking k-colourability with DSATUR branching, on bitsets.
 
-    Symmetry is broken by allowing at most one previously unused colour
-    per decision.
+    The next vertex is the uncoloured one with the most distinct
+    neighbour colours, ties toward the higher degree and then the lower
+    id.  Colours are tried in increasing order, and symmetry is broken by
+    allowing at most one previously unused colour per decision.
+
+    Vertices are relabelled by that tie-break (degree descending, then
+    id), so the pick is the lowest-rank vertex of maximum saturation.
+    ``forbidden[c]`` masks the vertices with a neighbour coloured c, and
+    saturations are bit-sliced: bit r of ``planes[b]`` is bit b of rank
+    r's count, so a pick costs O(log k) big-int operations.
     """
     n = g.n
     if k == 0:
         return Coloring((), 0) if n == 0 else None
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    rank = sorted(range(n), key=lambda u: (-len(g.adj[u]), u))
+    where = {v: r for r, v in enumerate(rank)}
+    bits = [sum(1 << where[w] for w in g.adj[v]) for v in rank]
+    forbidden = [0] * k
+    color = [-1] * n  # by rank
 
-    def pick() -> int | None:
-        best = None
-        best_key = None
-        for u in range(n):
-            if colors[u] != -1:
-                continue
-            key = (len(neighbor_colors[u]), len(g.adj[u]), -u)
-            if best_key is None or key > best_key:
-                best, best_key = u, key
-        return best
-
-    def solve(used: int) -> bool:
-        v = pick()
-        if v is None:
+    def solve(uncolored: int, planes: list[int], used: int) -> bool:
+        if not uncolored:
             return True
-        banned = neighbor_colors[v]
-        if len(banned) >= k:
-            return False
-        top = min(used + 1, k)
-        for c in range(top):
-            if c in banned:
+        cand = uncolored
+        for plane in reversed(planes):
+            top = cand & plane
+            if top:
+                cand = top
+        low = cand & -cand
+        v = low.bit_length() - 1
+        nb = bits[v]
+        for c in range(min(used + 1, k)):
+            before = forbidden[c]
+            if before & low:
                 continue
-            colors[v] = c
-            touched = []
-            for w in g.adj[v]:
-                if colors[w] == -1 and c not in neighbor_colors[w]:
-                    neighbor_colors[w].add(c)
-                    touched.append(w)
-            if solve(max(used, c + 1)):
+            # One more colour for each neighbour not yet next to colour c.
+            carry = nb & ~before
+            after = planes[:]
+            b = 0
+            while carry:
+                after[b], carry = after[b] ^ carry, after[b] & carry
+                b += 1
+            forbidden[c] = before | nb
+            color[v] = c
+            if solve(uncolored ^ low, after, max(used, c + 1)):
                 return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_colors[w].discard(c)
+            forbidden[c] = before
         return False
 
-    if solve(0):
-        palette = max(colors) + 1 if colors else 0
-        return Coloring(tuple(colors), max(palette, 0))
-    return None
+    # A saturation never exceeds k, so k.bit_length() planes hold it.
+    if not solve((1 << n) - 1, [0] * k.bit_length(), 0):
+        return None
+    colors = [color[where[v]] for v in range(n)]
+    return Coloring(tuple(colors), max(colors) + 1 if colors else 0)
 
 
 def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:

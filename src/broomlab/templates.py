@@ -28,7 +28,12 @@ from .constants import (
     strong_s_of,
 )
 from .graphs import Digraph, Graph, induced, least_stable_subset
-from .solvers import Coloring, chromatic_number, greedy_coloring
+from .solvers import (
+    DEFAULT_SOLVER_LIMIT,
+    Coloring,
+    chromatic_number,
+    greedy_coloring,
+)
 from .structures import (
     CoreWitness,
     Params,
@@ -939,7 +944,7 @@ def bound_audit(
                     "skipped",
                     reason="second-neighbourhood hypothesis fails",
                 )
-            elif len(rest) > (64 if limit is None else limit):
+            elif len(rest) > (DEFAULT_SOLVER_LIMIT if limit is None else limit):
                 checks["shadow_chi"] = AuditCheck(
                     "shadow_chi",
                     "skipped",

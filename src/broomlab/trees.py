@@ -3,8 +3,9 @@
 A broom of length k is a k-edge path with extra leaves at the far end;
 the near end is the handle.  Multibrooms glue brooms at a shared handle.
 The containment search is exact backtracking: induced tree matching in
-general hosts is NP-hard, so candidates are pruned hard by degree and by
-non-adjacency against already-placed vertices.
+general hosts is NP-hard, so candidates are pruned hard by degree, by
+non-adjacency against already-placed vertices, and by ordering
+interchangeable sibling subtrees.
 """
 
 from __future__ import annotations
@@ -155,7 +156,14 @@ def contains_induced(
     vertex has exactly one placed neighbour.  Candidates must match that
     neighbour, avoid all other placed vertices' neighbourhoods, and have
     host degree at least the pattern degree.  Ties break to the lowest
-    host id, making the returned witness deterministic.
+    host id, so the witness is the lexicographically least mapping in
+    BFS-position order.
+
+    Siblings whose rooted subtrees have the same shape (AHU canonical
+    form) are interchangeable, so a later one only takes host ids above
+    its earlier twin's image.  The witness does not move: swapping two
+    such sibling subtrees changes no position before the first sibling,
+    so the least mapping already puts them in increasing order.
     """
     cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
     if host.n > cap:
@@ -165,57 +173,58 @@ def contains_induced(
         return None
     order = _bfs_order(pattern.tree, pattern.handle)
     pos = {p: i for i, p in enumerate(order)}
-    parents: list[int | None] = [None] * pn
-    for p in order:
+    parents = [-1] * pn
+    children: list[list[int]] = [[] for _ in range(pn)]
+    for i, p in enumerate(order):
         for q in pattern.tree.adj[p]:
-            if pos[q] < pos[p]:
-                parents[pos[p]] = pos[q]
+            if pos[q] < i:
+                parents[i] = pos[q]
+                children[pos[q]].append(i)
+    # AHU shape id of each position's subtree, children before parents.
+    shape = [0] * pn
+    shape_ids: dict[tuple[int, ...], int] = {}
+    for i in reversed(range(pn)):
+        key = tuple(sorted(shape[c] for c in children[i]))
+        shape[i] = shape_ids.setdefault(key, len(shape_ids))
+    # twin[i]: the nearest earlier sibling with the same shape, or -1.
+    twin = [-1] * pn
+    for kids in children:
+        last: dict[int, int] = {}
+        for c in kids:
+            twin[c] = last.get(shape[c], -1)
+            last[shape[c]] = c
+    # fits[i]: the hosts whose degree reaches position i's pattern degree.
     pdeg = [len(pattern.tree.adj[p]) for p in order]
+    masks = {
+        d: sum(1 << h for h in range(host.n) if len(host.adj[h]) >= d)
+        for d in set(pdeg)
+    }
+    fits = [masks[d] for d in pdeg]
+    hbits = host.bits
     mapping = [-1] * pn
 
-    root_deg = pdeg[0]
-    for h in range(host.n):
-        if len(host.adj[h]) < root_deg:
-            continue
-        mapping[0] = h
-        if pn == 1 or _place_rest(
-            host, pattern, order, parents, pdeg, mapping, 1, 1 << h
-        ):
-            pairs = tuple(sorted((order[i], mapping[i]) for i in range(pn)))
-            return Embedding(pairs)
-        mapping[0] = -1
-    return None
-
-
-def _place_rest(
-    host: Graph,
-    pattern: PatternTree,
-    order: list[int],
-    parents: list[int | None],
-    pdeg: list[int],
-    mapping: list[int],
-    i: int,
-    used: int,
-) -> bool:
-    if i == len(order):
-        return True
-    hbits = host.bits
-    par = parents[i]
-    assert par is not None
-    cand = hbits[mapping[par]] & ~used
-    for j in range(i):
-        if j != par:
-            cand &= ~hbits[mapping[j]]
-    while cand:
-        h = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        if len(host.adj[h]) < pdeg[i]:
-            continue
-        mapping[i] = h
-        if _place_rest(host, pattern, order, parents, pdeg, mapping, i + 1, used | (1 << h)):
+    def place(i: int, used: int, once: int, twice: int) -> bool:
+        # once/twice: hosts adjacent to at least one/two placed vertices.
+        if i == pn:
             return True
-        mapping[i] = -1
-    return False
+        cand = fits[i] & ~used & ~twice
+        if i:
+            cand &= hbits[mapping[parents[i]]]
+        if twin[i] >= 0:
+            cand &= ~((2 << mapping[twin[i]]) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            mapping[i] = h
+            nb = hbits[h]
+            if place(i + 1, used | low, once | nb, twice | (once & nb)):
+                return True
+        return False
+
+    if not place(0, 0, 0, 0):
+        return None
+    return Embedding(tuple(sorted(zip(order, mapping))))
 
 
 def is_T_delta_free(host: Graph, delta: int, limit: int | None = None) -> bool:

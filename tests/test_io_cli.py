@@ -74,6 +74,25 @@ def test_edgelist_rejects_repeated_edges(tmp_path):
     assert read_graph(f) == Graph(3, [(0, 1), (1, 2)])
 
 
+def test_dimacs_rejects_repeated_edges(tmp_path):
+    # "p edge 2 1 / e 1 2 / e 2 1" names one edge twice, in either
+    # orientation; the reader refuses it as the edge-list reader does.
+    for text, line, first in (
+        ("p edge 2 1\ne 1 2\ne 2 1\n", 3, 2),
+        ("c x\np edge 3 3\ne 1 2\ne 2 3\nc y\ne 1 2\n", 6, 3),
+    ):
+        f = tmp_path / "dup.col"
+        f.write_text(text)
+        with pytest.raises(GraphParseError) as err:
+            read_graph(f)
+        assert err.value.line_no == line
+        assert f"dup.col:{line}: edge" in str(err.value)
+        assert f"repeats line {first}" in str(err.value)
+    f = tmp_path / "ok.col"
+    f.write_text("p edge 3 2\ne 1 2\ne 3 2\n")
+    assert read_graph(f) == Graph(3, [(0, 1), (1, 2)])
+
+
 def test_render_graph_sorted():
     g = Graph(3, [(2, 1), (1, 0)])
     assert render_graph(g) == "3 2\n0 1\n1 2\n"

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from broomlab.generators import erdos_renyi
+from broomlab.generators import cycle, erdos_renyi
 from broomlab.graphs import Graph, induced
-from broomlab.oracles import clique_number_oracle
+from broomlab.oracles import chromatic_number_oracle, clique_number_oracle
 from broomlab.solvers import (
     Coloring,
     InstanceTooLarge,
+    _k_colorable,
     chi_local,
     chromatic_number,
     clique_number,
@@ -58,6 +59,58 @@ def test_clique_number_matches_subset_oracle():
         assert len(witness) == omega
         assert all(v in g.adj[u] for u in witness for v in witness if u != v)
     assert clique_number(cases[0])[0] == 5
+
+
+def dsatur_reference(g: Graph, k: int) -> tuple[int, ...] | None:
+    """k-colouring by plain DSATUR backtracking over colour sets: the
+    uncoloured vertex with the most neighbour colours goes next (ties to
+    the higher degree, then the lower id), colours in increasing order,
+    at most one unused colour per decision."""
+    colors = [-1] * g.n
+
+    def priority(u: int) -> tuple[int, int, int]:
+        saturation = len({colors[w] for w in g.adj[u]} - {-1})
+        return saturation, len(g.adj[u]), -u
+
+    def solve(used: int) -> bool:
+        free = [u for u in range(g.n) if colors[u] == -1]
+        if not free:
+            return True
+        v = max(free, key=priority)
+        for c in range(min(used + 1, k)):
+            if all(colors[w] != c for w in g.adj[v]):
+                colors[v] = c
+                if solve(max(used, c + 1)):
+                    return True
+                colors[v] = -1
+        return False
+
+    return tuple(colors) if solve(0) else None
+
+
+def test_chromatic_number_above_clique_number(groe, pet):
+    # Where chi > omega the clique bound does not settle chi and the
+    # k-colourability search decides it: chi - 1 colours are refused, and
+    # the witness is proper with palette chi and the DSATUR reference's.
+    rng = random.Random(29)
+    graphs = [groe, pet, cycle(7)]
+    graphs += [random_graph(rng, rng.randint(1, 14), 0.5) for _ in range(100)]
+    graphs += [random_graph(rng, 14, 0.5) for _ in range(40)]
+    above = 0
+    for g in graphs:
+        chi, col = chromatic_number(g)
+        assert chi == chromatic_number_oracle(g)
+        assert col.palette_size == chi and validate_coloring(g, col)
+        if g.n:
+            assert _k_colorable(g, chi - 1) is None
+            witness = _k_colorable(g, chi)
+            assert witness is not None and validate_coloring(g, witness)
+            assert witness.palette_size == chi
+            # Greedy DSATUR is the search's first descent, so a greedy
+            # witness of chi colours is the search's witness too.
+            assert witness.colors == col.colors == dsatur_reference(g, chi)
+        above += chi > clique_number(g)[0]
+    assert above >= 12
 
 
 def test_chi_local(c5):

@@ -97,6 +97,80 @@ def test_oracle_equivalence_sample():
             assert verify_embedding(host, pattern, emb)
 
 
+def least_embedding_brute(host: Graph, pattern: PatternTree) -> dict | None:
+    """The lexicographically least induced embedding, with pattern
+    vertices in BFS order from the handle (neighbours in increasing id):
+    host ids are tried in increasing order and every pair of placed
+    vertices is compared, adjacency for adjacency."""
+    order = [pattern.handle]
+    for p in order:
+        order += [q for q in sorted(pattern.tree.adj[p]) if q not in order]
+    images: list[int] = []
+
+    def extend() -> bool:
+        i = len(images)
+        if i == len(order):
+            return True
+        for h in range(host.n):
+            if h in images:
+                continue
+            if all(
+                (order[j] in pattern.tree.adj[order[i]]) == (images[j] in host.adj[h])
+                for j in range(i)
+            ):
+                images.append(h)
+                if extend():
+                    return True
+                images.pop()
+        return False
+
+    return dict(zip(order, images)) if extend() else None
+
+
+def test_contains_induced_is_least_embedding():
+    # Same-shape siblings (star and broom leaves, spider legs) are
+    # searched in increasing host order; where shapes mix, as in T(1) or
+    # the (1,1),(1,2),(1,1) multibroom, only identical ones are
+    # constrained.  The witness must stay the least embedding of the
+    # unconstrained search.  About half of the hosts have a copy of the
+    # pattern planted on a random vertex set, so larger patterns occur.
+    def star(k: int, handle: int = 0) -> PatternTree:
+        return PatternTree(Graph(k + 1, [(0, i) for i in range(1, k + 1)]), handle)
+
+    fixed = [
+        star(3),
+        star(4),
+        star(3, handle=2),
+        build_multibroom([(2, 0)] * 3),
+        build_T(1),
+        build_multibroom([(1, 1), (1, 2), (1, 1)]),
+        build_multibroom([(2, 1), (1, 1), (2, 1)]),
+        build_broom(1, 3),
+    ]
+    rng = random.Random(17)
+    found = [0] * (len(fixed) + 1)
+    for trial in range(480):
+        if trial % 3 == 0:
+            n = rng.randint(2, 8)
+            tree = Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+            pattern, kind = PatternTree(tree=tree, handle=rng.randrange(n)), -1
+        else:
+            kind = trial % len(fixed)
+            pattern = fixed[kind]
+        host = random_graph(rng, rng.randint(pattern.tree.n, 10), rng.uniform(0.1, 0.5))
+        if rng.random() < 0.5:
+            spot = rng.sample(range(host.n), pattern.tree.n)
+            inside = set(spot)
+            edges = [(u, v) for u, v in host.edges() if not {u, v} <= inside]
+            edges += [(spot[u], spot[v]) for u, v in pattern.tree.edges()]
+            host = Graph(host.n, edges)
+        emb = contains_induced(host, pattern)
+        want = least_embedding_brute(host, pattern)
+        assert (None if emb is None else emb.as_dict()) == want
+        found[kind] += want is not None
+    assert all(count >= 10 for count in found), found
+
+
 def test_single_vertex_pattern(pet):
     dot = PatternTree(tree=Graph(1), handle=0)
     emb = contains_induced(pet, dot)
