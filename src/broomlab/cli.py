@@ -110,10 +110,7 @@ def cmd_analyze(args) -> int:
     report = {
         "tool": {"name": "broomlab", "version": __version__},
         "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
-        "params": {
-            "delta": p.delta, "tau": p.tau, "alpha": p.alpha,
-            "beta": p.beta, "zeta": p.zeta, "eta": p.eta,
-        },
+        "params": p.as_dict(),
         "results": {
             "omega": _tag(omega),
             "omega_witness": sorted(omega_witness),
@@ -138,10 +135,7 @@ def cmd_pipeline(args) -> int:
     payload = {
         "tool": {"name": "broomlab", "version": __version__},
         "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
-        "params": {
-            "delta": p.delta, "tau": p.tau, "alpha": p.alpha,
-            "beta": p.beta, "zeta": p.zeta, "eta": p.eta,
-        },
+        "params": p.as_dict(),
         "trace": trace.to_json_dict(),
     }
     _dump(payload, args.out)

@@ -56,19 +56,9 @@ class ConstantsLedger:
                 return e.value
         raise KeyError(key)
 
-    def __contains__(self, key: str) -> bool:
-        return any(e.key == key for e in self.entries)
-
     def to_json_dict(self, bits_cap: int = SERIALIZE_BITS_CAP) -> dict:
         out: dict = {
-            "params": {
-                "delta": self.params.delta,
-                "tau": self.params.tau,
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "zeta": self.params.zeta,
-                "eta": self.params.eta,
-            },
+            "params": self.params.as_dict(),
             "entries": [],
         }
         from .bignum import decimal_string  # not loaded by ``import broomlab``
@@ -134,18 +124,21 @@ def nested_side_conditions_ok(p: Params) -> bool:
     return p.eta >= eta_floor and p.zeta >= p.eta + p.delta
 
 
-def shadow_chi_bound_of(p: Params, s: int | None = None) -> int:
-    """Final unshadowed chromatic bound; s defaults to the nested value
-    but callers may substitute an observed degree."""
-    if s is None:
-        s = nested_s_of(p)
+def shadow_chi_r_of(p: Params, s: int) -> int:
+    """The shadow-chi r for a shadowing degree s (``shadow_chi.r`` in the
+    ledger, where s is the nested value)."""
     d, t = p.delta, p.tau
     q = 2 * d + s
-    r = (
+    return (
         (4 * (d + 1) * s + 1) * q * p.zeta * p.beta * t
         * (1 + t * ((q + s) * d * d + (2 * s * (d + 1) + 1) * d * t))
     )
-    return 3 * r * s * p.beta * d * p.zeta * t * t
+
+
+def shadow_chi_bound_of(p: Params) -> int:
+    """Final unshadowed chromatic bound, at the nested shadowing degree."""
+    s, d, t = nested_s_of(p), p.delta, p.tau
+    return 3 * shadow_chi_r_of(p, s) * s * p.beta * d * p.zeta * t * t
 
 
 def ledger(p: Params) -> ConstantsLedger:
@@ -246,14 +239,13 @@ def ledger(p: Params) -> ConstantsLedger:
         "1 + 2**nested_s2*delta*tau + nested_t1",
         1 + _pow(2, ns2) * d * t + nt1)
 
-    sq = add("shadow_chi.q", "shadow_chi", "2*delta + nested_s", 2 * d + ns)
+    add("shadow_chi.q", "shadow_chi", "2*delta + nested_s", 2 * d + ns)
     sr = add(
         "shadow_chi.r", "shadow_chi",
         "(4*(delta + 1)*nested_s + 1)*shadow_chi_q*zeta*beta*tau"
         "*(1 + tau*((shadow_chi_q + nested_s)*delta**2"
         " + (2*nested_s*(delta + 1) + 1)*delta*tau))",
-        (4 * (d + 1) * ns + 1) * sq * ze * be * t
-        * (1 + t * ((sq + ns) * d * d + (2 * ns * (d + 1) + 1) * d * t)),
+        shadow_chi_r_of(p, ns),
     )
     add("shadow_chi.bound", "shadow_chi",
         "3*shadow_chi_r*nested_s*beta*delta*zeta*tau**2",
@@ -290,14 +282,7 @@ def reevaluate(lg: ConstantsLedger) -> dict[str, int | PowerSum]:
     ledger.
     """
     p = lg.params
-    env: dict[str, object] = {
-        "delta": p.delta,
-        "tau": p.tau,
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "zeta": p.zeta,
-        "eta": p.eta,
-    }
+    env: dict[str, object] = dict(p.as_dict())
     scope = {"__builtins__": {}, "_pow": _pow}
     out: dict[str, int | PowerSum] = {}
     for e in lg.entries:

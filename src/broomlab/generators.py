@@ -138,10 +138,7 @@ def plant_core(
     parts = [
         frozenset(positions[i * a : (i + 1) * a]) for i in range(b)
     ]
-    part_of = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
+    planted = set(positions)
     edges = [
         (u, v)
         for i in range(b)
@@ -151,7 +148,7 @@ def plant_core(
     ]
     for u in range(n):
         for v in range(u + 1, n):
-            if u in part_of and v in part_of:
+            if u in planted and v in planted:
                 continue
             if rng.random() < noise_p:
                 edges.append((u, v))

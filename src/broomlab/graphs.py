@@ -49,15 +49,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self.adj[v])
-
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -252,13 +243,4 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def connected_component(g: Graph, v: int) -> frozenset[int]:
-    g.check_vertex(v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return neighborhood_closed(g, v, g.n)

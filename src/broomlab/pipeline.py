@@ -51,9 +51,6 @@ class PipelineTrace:
     audit: AuditReport
     strong_triples: StrongTripleReport
 
-    def final_array(self) -> TemplateArray:
-        return self.stages[-1][1]
-
     def to_json_dict(self) -> dict:
         return {
             "stages": [

@@ -11,20 +11,18 @@ clients; privatization applies it to the Z part of an array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .constants import nested_s_of, shadow_chi_bound_of
+from .constants import nested_s_of, shadow_chi_bound_of, shadow_chi_r_of
 from .graphs import (
     Digraph,
     Graph,
     check_vertex_set,
-    induced,
     is_stable,
     least_stable_subset,
 )
-from .solvers import DEFAULT_SOLVER_LIMIT, chromatic_number
+from .solvers import InstanceTooLarge, chi_of_set
 from .structures import is_matching_covered
 from .templates import (
     Template,
@@ -38,15 +36,18 @@ from .templates import (
 class Shadowing:
     blocks: tuple[frozenset[int], ...]
 
-    def block_of(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                owner[v] = i
-        return owner
-
     def to_json_dict(self) -> dict:
         return {"blocks": [sorted(b) for b in self.blocks]}
+
+
+def _owners(sets) -> dict[int, int]:
+    """Each member of the given sets mapped to the position of the last
+    set holding it."""
+    owner: dict[int, int] = {}
+    for i, members in enumerate(sets):
+        for v in members:
+            owner[v] = i
+    return owner
 
 
 def validate_shadowing(arr: TemplateArray, s: Shadowing) -> list[str]:
@@ -184,11 +185,8 @@ def find_daisy(
     """Exhaustive daisy search inside H union x, lowest choices first."""
     g, p = arr.graph, arr.params
     xs = arr.u if x is None else check_vertex_set(g, x) & arr.u
-    owner = s.block_of()
-    h_owner: dict[int, int] = {}
-    for i, t in enumerate(arr.templates):
-        for v in t.h:
-            h_owner[v] = i
+    owner = _owners(s.blocks)
+    h_owner = _owners(arr.h_sets())
     for eye in sorted(xs):
         roots = sorted(v for v in g.adj[eye] if v in h_owner)
         petal_pool = sorted(
@@ -237,16 +235,23 @@ def validate_bunch(
     for d in daisies:
         problems += validate_daisy(arr, s, d, x)
     for a, b in combinations(daisies, 2):
-        sa = a.petals | {a.eye}
-        sb = b.petals | {b.eye}
-        if sa & sb:
-            problems.append("eye/petal sets intersect")
-        if any(q in g.adj[v] for v in sa for q in sb):
-            problems.append("edge between eye/petal sets")
-        if any(q in g.adj[a.root] for q in b.petals):
-            problems.append("root adjacent to a foreign petal")
-        if any(q in g.adj[b.root] for q in a.petals):
-            problems.append("root adjacent to a foreign petal")
+        problems += _interference(g, a, b)
+    return problems
+
+
+def _interference(g: Graph, a: Daisy, b: Daisy) -> list[str]:
+    """Every way two daisies of a bunch fail to be separated."""
+    sa = a.petals | {a.eye}
+    sb = b.petals | {b.eye}
+    problems = []
+    if sa & sb:
+        problems.append("eye/petal sets intersect")
+    if any(q in g.adj[v] for v in sa for q in sb):
+        problems.append("edge between eye/petal sets")
+    if any(q in g.adj[a.root] for q in b.petals):
+        problems.append("root adjacent to a foreign petal")
+    if any(q in g.adj[b.root] for q in a.petals):
+        problems.append("root adjacent to a foreign petal")
     return problems
 
 
@@ -262,7 +267,7 @@ def find_bunch(
         raise ValueError("count must be positive")
     g, p = arr.graph, arr.params
     xs = arr.u if x is None else check_vertex_set(g, x) & arr.u
-    owner = s.block_of()
+    owner = _owners(s.blocks)
     n = arr.size
 
     def daisies_for(i: int, j: int) -> list[Daisy]:
@@ -285,20 +290,6 @@ def find_bunch(
                         )
         return out
 
-    def compatible(d: Daisy, chosen: list[Daisy]) -> bool:
-        sd = d.petals | {d.eye}
-        for c in chosen:
-            sc = c.petals | {c.eye}
-            if sd & sc:
-                return False
-            if any(q in g.adj[v] for v in sd for q in sc):
-                return False
-            if any(q in g.adj[d.root] for q in c.petals):
-                return False
-            if any(q in g.adj[c.root] for q in d.petals):
-                return False
-        return True
-
     for i in range(n):
         blocks = [j for j in range(n) if j != i and s.blocks[j] & xs]
         if len(blocks) < count:
@@ -311,7 +302,7 @@ def find_bunch(
             for k in range(start, len(blocks)):
                 j = blocks[k]
                 for d in daisies_for(i, j):
-                    if compatible(d, chosen):
+                    if not any(_interference(g, d, c) for c in chosen):
                         chosen.append(d)
                         if pick(k + 1):
                             return True
@@ -419,9 +410,6 @@ class Privatization:
     cover_decomposition: tuple[frozenset[int], ...]
     b_source: frozenset[int]
 
-    def neighbor_map(self) -> dict[int, int]:
-        return dict(self.private_neighbor)
-
     def to_json_dict(self) -> dict:
         return {
             "pi": sorted(self.pi),
@@ -436,7 +424,7 @@ def validate_privatization(arr: TemplateArray, p: Privatization) -> list[str]:
     z = arr.z_union()
     y = arr.y_union()
     problems = []
-    nm = p.neighbor_map()
+    nm = dict(p.private_neighbor)
     for v in sorted(p.pi):
         zn = g.adj[v] & z
         if len(zn) != 1:
@@ -503,17 +491,9 @@ def privatize(
         cover_decomposition=pc.decomposition,
         b_source=pc.b_prime,
     )
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-
-    def chi_or_none(verts: frozenset[int]) -> int | None:
-        if len(verts) > cap:
-            return None
-        sub, _ = induced(g, verts)
-        return chromatic_number(sub, limit=limit)[0]
-
-    chi_u_before = chi_or_none(arr.u)
-    chi_rest = chi_or_none(out.u - pi)
-    chi_peeled = chi_or_none(pc.b_prime)
+    chi_u_before = _chi_or_none(g, arr.u, limit)
+    chi_rest = _chi_or_none(g, out.u - pi, limit)
+    chi_peeled = _chi_or_none(g, pc.b_prime, limit)
     report = {
         "pass": "privatize",
         "quota": quota,
@@ -530,6 +510,14 @@ def privatize(
         ),
     }
     return out, priv, report
+
+
+def _chi_or_none(g: Graph, verts: frozenset[int], limit: int | None) -> int | None:
+    """Exact chi of ``verts``, or None when the set exceeds the solver limit."""
+    try:
+        return chi_of_set(g, verts, limit)
+    except InstanceTooLarge:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +547,6 @@ class StrongTripleReport:
             "orientation_palette": self.orientation_palette,
             "orientation_proper": self.orientation_proper,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def strong_triple_audit(
@@ -626,12 +611,9 @@ def strong_triple_audit(
         packing[i] = count
 
     s_obs = max(shadowing_degree(arr, s, arr.u - priv.pi)[0], 1)
-    r_bound = _r_bound(p, max(s_obs, nested_s_of(p)))
+    r_bound = shadow_chi_r_of(p, max(s_obs, nested_s_of(p)))
 
-    owner = {}
-    for i, b in enumerate(rest):
-        for v in b:
-            owner[v] = i
+    owner = _owners(rest)
     arcs = []
     verts = sorted(owner)
     pos = {v: k for k, v in enumerate(verts)}
@@ -648,27 +630,13 @@ def strong_triple_audit(
         if v in owner and owner[v] != owner[u]
     )
 
-    rest_union = arr.u - priv.pi
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    chi_rest = None
-    if len(rest_union) <= cap:
-        sub, _ = induced(g, rest_union)
-        chi_rest = chromatic_number(sub, limit=limit)[0]
     return StrongTripleReport(
         triples_by_base={i: tuple(ts) for i, ts in triples.items()},
         packing_by_base=packing,
         r_bound=r_bound,
-        chi_unprivatized=chi_rest,
+        chi_unprivatized=_chi_or_none(g, arr.u - priv.pi, limit),
         chi_bound=shadow_chi_bound_of(p),
         orientation_palette=col.palette_size,
         orientation_proper=proper,
     )
 
-
-def _r_bound(p, s: int) -> int:
-    d, t = p.delta, p.tau
-    q = 2 * d + s
-    return (
-        (4 * (d + 1) * s + 1) * q * p.zeta * p.beta * t
-        * (1 + t * ((q + s) * d * d + (2 * s * (d + 1) + 1) * d * t))
-    )

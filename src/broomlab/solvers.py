@@ -12,6 +12,12 @@ bit-sliced saturation counters, so choosing the next vertex costs
 O(log k) big-int operations.  The greedy colouring is an upper bound
 only and is never reported as the chromatic number unless the clique
 bound meets it.
+
+Two helpers serve the rest of the library.  :func:`check_limit` is the
+one place the size cap is resolved (``limit`` or
+``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
+:func:`chi_of_set` is the exact chromatic number of the subgraph induced
+by a vertex set, refused by size before the subgraph is built.
 """
 
 from __future__ import annotations
@@ -58,7 +64,9 @@ def validate_coloring(g: Graph, c: Coloring) -> bool:
     return True
 
 
-def _check_limit(what: str, size: int, limit: int | None) -> None:
+def check_limit(what: str, size: int, limit: int | None) -> None:
+    """Refuse ``what`` on an instance of ``size`` above the cap: ``limit``,
+    or ``DEFAULT_SOLVER_LIMIT`` when it is None."""
     cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
     if size > cap:
         raise InstanceTooLarge(what, size, cap)
@@ -98,7 +106,7 @@ def clique_number(
     Branch and bound over candidate bitsets with a greedy-colouring
     bound; the search order is fixed, so the witness is deterministic.
     """
-    _check_limit("clique_number", g.n, limit)
+    check_limit("clique_number", g.n, limit)
     n = g.n
     if n == 0:
         return 0, ()
@@ -210,7 +218,7 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
 
 def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness colouring of that size."""
-    _check_limit("chromatic_number", g.n, limit)
+    check_limit("chromatic_number", g.n, limit)
     if g.n == 0:
         return 0, Coloring((), 0)
     if g.m == 0:
@@ -241,14 +249,23 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
         return 0
     balls = [neighborhood_closed(g, v, k) for v in range(g.n)]
     biggest = max(len(b) for b in balls)
-    _check_limit(f"chi_local(k={k})", biggest, limit)
+    check_limit(f"chi_local(k={k})", biggest, limit)
     best = 0
     seen: set[frozenset[int]] = set()
     for ball in balls:
         if ball in seen:
             continue
         seen.add(ball)
-        sub, _ = induced(g, ball)
-        chi, _ = chromatic_number(sub, limit=limit)
-        best = max(best, chi)
+        best = max(best, chi_of_set(g, ball, limit))
     return best
+
+
+def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int:
+    """Exact chromatic number of the subgraph induced by ``verts``.
+
+    A set above the solver limit is refused as ``chromatic_number``
+    would refuse it, before the subgraph is built.
+    """
+    check_limit("chromatic_number", len(verts), limit)
+    sub, _ = induced(g, verts)
+    return chromatic_number(sub, limit=limit)[0]

@@ -6,11 +6,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, check_vertex_set, induced, is_stable
+from .graphs import Graph, check_vertex_set, is_stable
 from .solvers import (
-    DEFAULT_SOLVER_LIMIT,
-    InstanceTooLarge,
+    check_limit,
     chi_local,
+    chi_of_set,
     chromatic_number,
 )
 from .trees import is_T_delta_free
@@ -108,6 +108,13 @@ class Params:
         if min(self.tau, self.zeta, self.eta) < 0:
             raise ValueError("parameters must be nonnegative")
 
+    def as_dict(self) -> dict[str, int]:
+        """The six integer parameters by name; theta is left out."""
+        return {
+            "delta": self.delta, "tau": self.tau, "alpha": self.alpha,
+            "beta": self.beta, "zeta": self.zeta, "eta": self.eta,
+        }
+
     @staticmethod
     def with_minimal_sides(
         delta: int = 1,
@@ -145,9 +152,7 @@ def find_core(
     """
     if a < 1 or b < 1:
         raise ValueError("core dimensions must be positive")
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    if g.n > cap:
-        raise InstanceTooLarge("find_core", g.n, cap)
+    check_limit("find_core", g.n, limit)
     if a * b > g.n:
         return None
 
@@ -260,14 +265,9 @@ def max_matching_covered_chi(
     n = g.n
     checked = 0
 
-    def chi_of(xs: frozenset[int]) -> int:
-        sub, _ = induced(g, xs)
-        value, _ = chromatic_number(sub, limit=limit)
-        return value
-
     if n <= exhaustive_limit:
         adj = g.adj
-        violation: list[frozenset[int]] = []
+        violation: list[tuple[frozenset[int], int]] = []
 
         def witness_counts(xs: set[int]) -> dict[int, int]:
             return {
@@ -285,9 +285,11 @@ def max_matching_covered_chi(
             if xs:
                 checked += 1
                 # chi(X) <= |X|, so only sets larger than tau can violate.
-                if len(xs) > tau and chi_of(frozenset(xs)) > tau:
-                    violation.append(frozenset(xs))
-                    return True
+                if len(xs) > tau:
+                    chi = chi_of_set(g, frozenset(xs), limit)
+                    if chi > tau:
+                        violation.append((frozenset(xs), chi))
+                        return True
             for v in range(start, n):
                 xs.add(v)
                 if scan(xs, v + 1):
@@ -296,10 +298,8 @@ def max_matching_covered_chi(
             return False
 
         if scan(set(), 0):
-            bad = violation[0]
-            return MatchingCoveredVerdict(
-                "violation", bad, chi_of(bad), checked
-            )
+            bad, chi = violation[0]
+            return MatchingCoveredVerdict("violation", bad, chi, checked)
         return MatchingCoveredVerdict("pass_exhaustive", subsets_checked=checked)
 
     if sample_budget is None:
@@ -312,8 +312,9 @@ def max_matching_covered_chi(
         xs = frozenset(rng.sample(range(n), size))
         if is_matching_covered(g, xs).ok:
             checked += 1
-            if chi_of(xs) > tau:
-                return MatchingCoveredVerdict("violation", xs, chi_of(xs), checked)
+            chi = chi_of_set(g, xs, limit)
+            if chi > tau:
+                return MatchingCoveredVerdict("violation", xs, chi, checked)
     return MatchingCoveredVerdict("pass_sampled", subsets_checked=checked)
 
 

@@ -33,6 +33,10 @@ from .structures import Params, find_core, verify_core
 from .templates import color_bounded_outdegree, extract_template_array
 from .trees import PatternTree, contains_induced, verify_embedding
 
+# Suites that draw instances until enough qualify give up after this
+# many draws per trial and report the shortfall as a failure.
+ATTEMPTS_PER_TRIAL = 10
+
 
 @dataclass
 class SuiteResult:
@@ -182,8 +186,9 @@ def suite_stable_removal(trials: int = 200, seed: int = 0) -> SuiteResult:
     rng = random.Random(seed)
     result = SuiteResult("stable_removal", trials)
     start = time.perf_counter()
-    done = 0
-    while done < trials:
+    done = attempts = 0
+    while done < trials and attempts < ATTEMPTS_PER_TRIAL * trials:
+        attempts += 1
         g = erdos_renyi(rng.randint(5, 10), rng.uniform(0.3, 0.7), rng.getrandbits(32))
         chi, col = chromatic_number(g)
         if chi < 2:
@@ -207,8 +212,8 @@ def suite_stable_removal(trials: int = 200, seed: int = 0) -> SuiteResult:
                 f"trial {done}: best outside degree {witness} < {d}"
             )
         done += 1
+    _report_shortfall(result, done, attempts)
     result.elapsed = time.perf_counter() - start
-    result.trials = trials
     return result
 
 
@@ -239,8 +244,9 @@ def suite_daisy(trials: int = 200, seed: int = 0) -> SuiteResult:
     result = SuiteResult("daisy", trials)
     start = time.perf_counter()
     p = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
-    done = 0
-    while done < trials:
+    done = attempts = 0
+    while done < trials and attempts < ATTEMPTS_PER_TRIAL * trials:
+        attempts += 1
         g, _ = plant_core(
             rng.randint(8, 12), 2, 2, rng.uniform(0.05, 0.3), rng.getrandbits(32)
         )
@@ -261,8 +267,16 @@ def suite_daisy(trials: int = 200, seed: int = 0) -> SuiteResult:
             if problems:
                 result.failures.append(f"trial {done}: {problems[0]}")
         done += 1
+    _report_shortfall(result, done, attempts)
     result.elapsed = time.perf_counter() - start
     return result
+
+
+def _report_shortfall(result: SuiteResult, done: int, attempts: int) -> None:
+    if done < result.trials:
+        result.failures.append(
+            f"only {done} of {result.trials} trials qualified in {attempts} attempts"
+        )
 
 
 def _pipeline_instances(count: int, seed: int):

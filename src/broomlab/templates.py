@@ -14,9 +14,9 @@ already-clean input.
 from __future__ import annotations
 
 import functools
-import json
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .constants import (
     dense_bound_of,
@@ -29,9 +29,9 @@ from .constants import (
 )
 from .graphs import Digraph, Graph, induced, least_stable_subset
 from .solvers import (
-    DEFAULT_SOLVER_LIMIT,
     Coloring,
-    chromatic_number,
+    InstanceTooLarge,
+    chi_of_set,
     greedy_coloring,
 )
 from .structures import (
@@ -47,6 +47,7 @@ from .trees import (
     Embedding,
     PatternTree,
     assemble_T_delta,
+    build_broom,
     find_rooted_broom,
 )
 
@@ -400,10 +401,12 @@ def extract_template_array(
 # Cleaning passes
 
 
-def _chi_of(g: Graph, verts: frozenset[int], limit: int | None) -> int:
-    sub, _ = induced(g, verts)
-    value, _ = chromatic_number(sub, limit=limit)
-    return value
+def _most_chromatic(
+    g: Graph, vertex_sets: list[frozenset[int]], limit: int | None
+) -> tuple[list[int], int]:
+    """The exact chi of each set, and the position of the first largest."""
+    chis = [chi_of_set(g, vs, limit) for vs in vertex_sets]
+    return chis, chis.index(max(chis))
 
 
 def _subarray(
@@ -443,11 +446,9 @@ def clean1(
         "claimed_factor": 2 * t_bound + 1,
         "claimed_subtraction": t_bound * p.tau,
     }
-    if is_1_cleaned(arr):
-        out = replace(arr, cleanliness="clean1", partial2_degree=None)
-        report["identity"] = True
-        return out, report
-    report["identity"] = False
+    report["identity"] = is_1_cleaned(arr)
+    if report["identity"]:
+        return replace(arr, cleanliness="clean1", partial2_degree=None), report
     n = arr.size
     hs = arr.h_sets()
     cores = [t.core for t in arr.templates]
@@ -474,20 +475,15 @@ def clean1(
     dgraph = Digraph(n, arcs)
     coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
 
-    best = None
-    class_chis = []
+    cands = []
     for c in range(coloring.palette_size):
         keep = [i for i in range(n) if coloring.colors[i] == c]
         u_c = frozenset().union(*(buckets[i] for i in keep)) if keep else frozenset()
-        cand = _subarray(arr, keep, frozenset(u_c), "partial1")
-        chi = _chi_of(g, cand.vertices(), limit)
-        class_chis.append(chi)
-        if best is None or chi > best[0]:
-            best = (chi, cand)
-    assert best is not None
+        cands.append(_subarray(arr, keep, u_c, "partial1"))
+    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
     report["class_chis"] = class_chis
-    report["chosen_class"] = class_chis.index(best[0])
-    partial = best[1]
+    report["chosen_class"] = chosen
+    partial = cands[chosen]
 
     dense_left = set()
     for t in partial.templates:
@@ -506,7 +502,7 @@ def clean1(
     )
     report["removed_dense"] = sorted(dense_left)
     report["chi_removed"] = (
-        _chi_of(g, frozenset(dense_left), limit) if dense_left else 0
+        chi_of_set(g, frozenset(dense_left), limit) if dense_left else 0
     )
     if not is_1_cleaned(out):
         raise AssertionError("clean1 output fails its predicate")
@@ -533,11 +529,9 @@ def clean2(
         "ledger_d": gamma * (p.delta - 1),
         "ledger_s": strong_s_of(p),
     }
-    if is_2_cleaned(arr):
-        out = replace(arr, cleanliness="clean2", partial2_degree=None)
-        report["identity"] = True
-        return out, report
-    report["identity"] = False
+    report["identity"] = is_2_cleaned(arr)
+    if report["identity"]:
+        return replace(arr, cleanliness="clean2", partial2_degree=None), report
     n = arr.size
     hs = arr.h_sets()
 
@@ -551,8 +545,7 @@ def clean2(
     dgraph = Digraph(n, arcs)
     coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
 
-    best = None
-    class_chis = []
+    cands = []
     for c in range(coloring.palette_size):
         keep = [i for i in range(n) if coloring.colors[i] == c]
         h_keep = frozenset().union(*(hs[i] for i in keep)) if keep else frozenset()
@@ -561,18 +554,14 @@ def clean2(
         for i in keep:
             for v in arr.templates[i].h:
                 d_obs = max(d_obs, len(g.adj[v] & (h_keep - hs[i])))
-        cand = _subarray(arr, keep, u_c, "partial2", partial2_degree=d_obs)
-        chi = _chi_of(g, cand.vertices(), limit)
-        class_chis.append(chi)
-        if best is None or chi > best[0]:
-            best = (chi, cand)
-    assert best is not None
+        cands.append(_subarray(arr, keep, u_c, "partial2", partial2_degree=d_obs))
+    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
+    partial = cands[chosen]
     report["partial"] = {
         "class_chis": class_chis,
-        "chosen_class": class_chis.index(best[0]),
-        "observed_degree": best[1].partial2_degree,
+        "chosen_class": chosen,
+        "observed_degree": partial.partial2_degree,
     }
-    partial = best[1]
 
     # Z vertices with a neighbour in another surviving core would leak
     # a cross-template edge past any stable split; drop them first.
@@ -604,9 +593,8 @@ def clean2(
     for local, color in enumerate(split.colors):
         w_classes[color].add(back[local])
 
-    best2 = None
-    class_chis_u = []
-    for c, w in enumerate(w_classes):
+    cands = []
+    for w in w_classes:
         new_templates = tuple(
             Template(
                 core=partial.templates[i].core,
@@ -618,25 +606,21 @@ def clean2(
         )
         h_new = frozenset().union(*(t.h for t in new_templates)) if new_templates else frozenset()
         u_new = frozenset(u for u in partial.u if g.adj[u] & h_new)
-        cand = TemplateArray(
+        cands.append(TemplateArray(
             graph=g,
             templates=new_templates,
             u=u_new,
             params=p,
             cleanliness="clean2",
-        )
-        chi = _chi_of(g, u_new, limit)
-        class_chis_u.append(chi)
-        if best2 is None or chi > best2[0]:
-            best2 = (chi, cand)
-    assert best2 is not None
+        ))
+    class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands], limit)
     report["split"] = {
         "class_chis_u": class_chis_u,
-        "chosen_class": class_chis_u.index(best2[0]),
+        "chosen_class": chosen,
         "palette": split.palette_size,
         "claimed_t": (report["ledger_d"] + 1) * p.beta * p.zeta * p.tau,
     }
-    out = best2[1]
+    out = cands[chosen]
     if not is_2_cleaned(out):
         raise AssertionError("clean2 output fails its predicate")
     return out, report
@@ -663,7 +647,7 @@ def clean3(
         "pass": "clean3",
         "epsilon": eps,
         "removed": sorted(removed),
-        "chi_removed": _chi_of(g, removed, limit) if removed else 0,
+        "chi_removed": chi_of_set(g, removed, limit) if removed else 0,
     }
     if not is_3_cleaned(out):
         raise AssertionError("clean3 output fails its predicate")
@@ -697,12 +681,6 @@ class AuditCheck:
 class AuditReport:
     checks: dict[str, AuditCheck]
 
-    @property
-    def violation_rules(self) -> list[str]:
-        return [
-            r for r, c in self.checks.items() if c.status == "violation"
-        ]
-
     def to_json_dict(self) -> dict:
         out = {}
         for rule, c in self.checks.items():
@@ -723,32 +701,104 @@ class AuditReport:
             }
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _gate(
+    rule: str,
     arr: TemplateArray,
     holds: Callable[[], bool],
     required: str,
     side_ok: bool,
     side_msg: str,
-) -> tuple[str, str] | None:
-    """None means run; otherwise (status, reason).  ``holds`` answers
-    whether the declared cleanliness predicate holds."""
+) -> AuditCheck | None:
+    """None means run; otherwise the skipped or failed check.  ``holds``
+    answers whether the declared cleanliness predicate holds."""
     if CLEANLINESS_RANK[arr.cleanliness] < CLEANLINESS_RANK[required]:
-        return (
+        return AuditCheck(
+            rule,
             "skipped",
-            f"requires {required}; array declares {arr.cleanliness}",
+            reason=f"requires {required}; array declares {arr.cleanliness}",
         )
     if not side_ok:
-        return ("skipped", side_msg)
+        return AuditCheck(rule, "skipped", reason=side_msg)
     if not holds():
-        return (
+        return AuditCheck(
+            rule,
             "precondition_failed",
-            f"declared cleanliness {arr.cleanliness!r} fails verification",
+            reason=f"declared cleanliness {arr.cleanliness!r} fails verification",
         )
     return None
+
+
+# A counter yields (item, indices) for every item its rule bounds.
+Counts = Iterator[tuple[int, tuple[int, ...]]]
+
+
+def _contacts(
+    sets_of: Callable[[TemplateArray], list[frozenset[int]]],
+) -> Callable[[TemplateArray], Counts]:
+    """A counter of the sets (the cores or the H sets) each array vertex
+    touches."""
+
+    def counts(arr: TemplateArray) -> Counts:
+        g, sets = arr.graph, sets_of(arr)
+        for v in sorted(arr.vertices()):
+            yield v, tuple(i for i, s in enumerate(sets) if g.adj[v] & s)
+
+    return counts
+
+
+def _strong_contacts(arr: TemplateArray) -> Counts:
+    """Per template, the templates that one of its H vertices sees at
+    least delta times."""
+    g, hs, delta = arr.graph, arr.h_sets(), arr.params.delta
+    for j, hj in enumerate(hs):
+        yield j, tuple(
+            i
+            for i, h in enumerate(hs)
+            if any(len(g.adj[v] & h) >= delta for v in hj)
+        )
+
+
+def _dense_count(arr: TemplateArray) -> Counts:
+    """Per template, the host vertices dense to its core."""
+    g, alpha = arr.graph, arr.params.alpha
+    for i, t in enumerate(arr.templates):
+        yield i, tuple(
+            v for v in range(g.n) if _dense_outside(g, v, t.core, alpha)
+        )
+
+
+def _nested_indices(arr: TemplateArray) -> Counts:
+    """Per U vertex, the templates its U neighbours touch."""
+    g, hs = arr.graph, arr.h_sets()
+    for v in sorted(arr.u):
+        near = g.adj[v] & arr.u
+        yield v, tuple(
+            i for i, h in enumerate(hs) if any(g.adj[w] & h for w in near)
+        )
+
+
+_TEMPLATE_SIDE = (
+    lambda p: p.eta >= p.delta and p.zeta >= max(p.eta, p.alpha) + p.delta,
+    "needs eta >= delta and zeta >= max(eta, alpha) + delta",
+)
+
+# The counter rules in audit order; ``bound_audit`` describes the columns.
+COUNTER_RULES = (
+    ("core_contacts", "clean1",
+     lambda p: p.zeta >= max(p.eta + p.delta, p.alpha),
+     "needs zeta >= max(eta + delta, alpha)",
+     _contacts(TemplateArray.y_sets), lambda p: 2 * p.delta, operator.gt),
+    ("template_contacts", "clean1", *_TEMPLATE_SIDE,
+     _contacts(TemplateArray.h_sets), gamma_of, operator.ge),
+    ("strong_contacts", "clean1", *_TEMPLATE_SIDE,
+     _strong_contacts, strong_s_of, operator.gt),
+    ("dense_count", None, None, "",
+     _dense_count, dense_bound_of, operator.gt),
+    ("nested_indices", "clean3", nested_side_conditions_ok,
+     "needs eta >= alpha + 2*(delta+1)^3*(epsilon+1)^2 and zeta >= eta + delta",
+     _nested_indices, nested_s_of, operator.ge),
+)
 
 
 def bound_audit(
@@ -758,209 +808,82 @@ def bound_audit(
 ) -> AuditReport:
     """Check every per-vertex counter bound the cleaning theory promises.
 
+    Each row of ``COUNTER_RULES`` is one rule: its name; the least
+    declared cleanliness it needs (None for no gate); a side condition
+    on the params, with the reason reported when it fails; a counter
+    that yields each bounded item with the indices it reaches; the bound
+    as a function of the params; and ``operator.gt`` or ``operator.ge``,
+    which says whether a count must exceed the bound or only reach it to
+    be a violation.  A gated rule is skipped below its level or when its
+    side condition fails, and fails its precondition when the declared
+    cleanliness does not hold.  ``shadow_chi``, the chromatic bound on
+    the unprivatized part of U, is the one rule outside the table.
+
     Inapplicable rules are skipped with a reason, never guessed.  A
     violation on a host that genuinely satisfies the five conditions
     means a bug, and the witness extractor can tell which: it either
     produces a forbidden-tree embedding (the host lied) or reports the
     failing construction step (the audit lied).
     """
-    g, p = arr.graph, arr.params
-    n = arr.size
-    hs = arr.h_sets()
-    ys = arr.y_sets()
-    verts = sorted(arr.vertices())
+    p = arr.params
     checks: dict[str, AuditCheck] = {}
     # The array is immutable, so its predicate is evaluated at most once.
     holds = functools.cache(lambda: cleanliness_holds(arr))
-
-    # Vertices touching many cores.
-    gate = _gate(
-        arr,
-        holds,
-        "clean1",
-        p.zeta >= max(p.eta + p.delta, p.alpha),
-        "needs zeta >= max(eta + delta, alpha)",
-    )
-    if gate:
-        checks["core_contacts"] = AuditCheck("core_contacts", gate[0], reason=gate[1])
-    else:
-        bound = 2 * p.delta
+    for rule, required, side, side_msg, counts, bound_of, exceeds in COUNTER_RULES:
+        gate = required and _gate(rule, arr, holds, required, side(p), side_msg)
+        if gate:
+            checks[rule] = gate
+            continue
+        bound = bound_of(p)
         viol = []
         worst = 0
-        for v in verts:
-            idx = tuple(i for i in range(n) if g.adj[v] & ys[i])
+        for item, idx in counts(arr):
             worst = max(worst, len(idx))
-            if len(idx) > bound:
-                viol.append(
-                    AuditViolation("core_contacts", v, idx, len(idx), bound)
-                )
-        checks["core_contacts"] = AuditCheck(
-            "core_contacts",
+            if exceeds(len(idx), bound):
+                viol.append(AuditViolation(rule, item, idx, len(idx), bound))
+        checks[rule] = AuditCheck(
+            rule,
             "violation" if viol else "pass",
             bound=bound,
             worst=worst,
             violations=tuple(viol),
         )
-
-    # Vertices touching many templates.
-    side = p.eta >= p.delta and p.zeta >= max(p.eta, p.alpha) + p.delta
-    gate = _gate(arr, holds, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
-    if gate:
-        checks["template_contacts"] = AuditCheck(
-            "template_contacts", gate[0], reason=gate[1]
-        )
-    else:
-        gamma = gamma_of(p)
-        viol = []
-        worst = 0
-        for v in verts:
-            idx = tuple(i for i in range(n) if g.adj[v] & hs[i])
-            worst = max(worst, len(idx))
-            if len(idx) >= gamma:
-                viol.append(
-                    AuditViolation("template_contacts", v, idx, len(idx), gamma)
-                )
-        checks["template_contacts"] = AuditCheck(
-            "template_contacts",
-            "violation" if viol else "pass",
-            bound=gamma,
-            worst=worst,
-            violations=tuple(viol),
-        )
-
-    # Templates heavily attached to many other templates.
-    gate = _gate(arr, holds, "clean1", side, "needs eta >= delta and zeta >= max(eta, alpha) + delta")
-    if gate:
-        checks["strong_contacts"] = AuditCheck(
-            "strong_contacts", gate[0], reason=gate[1]
-        )
-    else:
-        s_bound = strong_s_of(p)
-        viol = []
-        worst = 0
-        for j in range(n):
-            idx = tuple(
-                i
-                for i in range(n)
-                if any(len(g.adj[v] & hs[i]) >= p.delta for v in hs[j])
-            )
-            worst = max(worst, len(idx))
-            if len(idx) > s_bound:
-                viol.append(
-                    AuditViolation("strong_contacts", j, idx, len(idx), s_bound)
-                )
-        checks["strong_contacts"] = AuditCheck(
-            "strong_contacts",
-            "violation" if viol else "pass",
-            bound=s_bound,
-            worst=worst,
-            violations=tuple(viol),
-        )
-
-    # Dense-vertex population of each core (no cleanliness hypothesis).
-    bound = dense_bound_of(p)
-    viol = []
-    worst = 0
-    for i in range(n):
-        core = arr.templates[i].core
-        dense = tuple(
-            v
-            for v in range(g.n)
-            if v not in core.vertices() and is_dense_to(g, v, core, p.alpha)
-        )
-        worst = max(worst, len(dense))
-        if len(dense) > bound:
-            viol.append(AuditViolation("dense_count", i, dense, len(dense), bound))
-    checks["dense_count"] = AuditCheck(
-        "dense_count",
-        "violation" if viol else "pass",
-        bound=bound,
-        worst=worst,
-        violations=tuple(viol),
-    )
-
-    # Second-neighbourhood template contacts.
-    gate = _gate(
-        arr,
-        holds,
-        "clean3",
-        nested_side_conditions_ok(p),
-        "needs eta >= alpha + 2*(delta+1)^3*(epsilon+1)^2 and zeta >= eta + delta",
-    )
-    if gate:
-        checks["nested_indices"] = AuditCheck(
-            "nested_indices", gate[0], reason=gate[1]
-        )
-    else:
-        s_bound = nested_s_of(p)
-        viol = []
-        worst = 0
-        for v in sorted(arr.u):
-            reach = set()
-            for w in g.adj[v] & arr.u:
-                for i in range(n):
-                    if g.adj[w] & hs[i]:
-                        reach.add(i)
-            worst = max(worst, len(reach))
-            if len(reach) >= s_bound:
-                viol.append(
-                    AuditViolation(
-                        "nested_indices", v, tuple(sorted(reach)), len(reach), s_bound
-                    )
-                )
-        checks["nested_indices"] = AuditCheck(
-            "nested_indices",
-            "violation" if viol else "pass",
-            bound=s_bound,
-            worst=worst,
-            violations=tuple(viol),
-        )
-
-    # Chromatic bound on the unprivatized part of U.
-    if privatization is None:
-        checks["shadow_chi"] = AuditCheck(
-            "shadow_chi", "skipped", reason="no privatization supplied"
-        )
-    else:
-        gate = _gate(arr, holds, "clean2", True, "")
-        if gate:
-            checks["shadow_chi"] = AuditCheck("shadow_chi", gate[0], reason=gate[1])
-        else:
-            s_bound = nested_s_of(p)
-            hypothesis_ok = True
-            for v in arr.u:
-                reach = set()
-                for w in g.adj[v] & arr.u:
-                    for i in range(n):
-                        if g.adj[w] & hs[i]:
-                            reach.add(i)
-                if len(reach) >= s_bound:
-                    hypothesis_ok = False
-                    break
-            rest = arr.u - privatization.pi
-            if not hypothesis_ok:
-                checks["shadow_chi"] = AuditCheck(
-                    "shadow_chi",
-                    "skipped",
-                    reason="second-neighbourhood hypothesis fails",
-                )
-            elif len(rest) > (DEFAULT_SOLVER_LIMIT if limit is None else limit):
-                checks["shadow_chi"] = AuditCheck(
-                    "shadow_chi",
-                    "skipped",
-                    reason="unprivatized U exceeds the exact solver limit",
-                )
-            else:
-                chi = _chi_of(g, rest, limit)
-                bound = shadow_chi_bound_of(p)
-                checks["shadow_chi"] = AuditCheck(
-                    "shadow_chi",
-                    "pass" if chi <= bound else "violation",
-                    bound=bound,
-                    worst=chi,
-                )
-
+    checks["shadow_chi"] = _shadow_chi(arr, privatization, holds, limit)
     return AuditReport(checks=checks)
+
+
+def _shadow_chi(
+    arr: TemplateArray,
+    privatization,
+    holds: Callable[[], bool],
+    limit: int | None,
+) -> AuditCheck:
+    """Chromatic bound on the unprivatized part of U."""
+    if privatization is None:
+        return AuditCheck("shadow_chi", "skipped", reason="no privatization supplied")
+    gate = _gate("shadow_chi", arr, holds, "clean2", True, "")
+    if gate:
+        return gate
+    s_bound = nested_s_of(arr.params)
+    if any(len(idx) >= s_bound for _, idx in _nested_indices(arr)):
+        return AuditCheck(
+            "shadow_chi", "skipped", reason="second-neighbourhood hypothesis fails"
+        )
+    try:
+        chi = chi_of_set(arr.graph, arr.u - privatization.pi, limit)
+    except InstanceTooLarge:
+        return AuditCheck(
+            "shadow_chi",
+            "skipped",
+            reason="unprivatized U exceeds the exact solver limit",
+        )
+    bound = shadow_chi_bound_of(arr.params)
+    return AuditCheck(
+        "shadow_chi",
+        "pass" if chi <= bound else "violation",
+        bound=bound,
+        worst=chi,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1005,32 +928,17 @@ def extract_T_delta_witness(
         indices = sorted(violation.indices)
         if len(indices) <= 2 * delta:
             raise ValueError("violation malformed: not enough contact indices")
-        usable = indices[:-1]  # the largest index is unusable in general
-        chosen = usable[: 2 * delta]
-        if len(chosen) < 2 * delta:
-            return WitnessResult(
-                None, None, "index_supply",
-                f"need {2 * delta} usable indices, have {len(chosen)}",
-            )
+        # The largest index is unusable in general; 2*delta remain.
+        chosen = indices[: 2 * delta]
         for i in chosen:
             if v in hs[i]:
                 return WitnessResult(
                     None, None, "handle_inside_template",
                     f"handle {v} lies in template {i}",
                 )
-        pieces: list[tuple[PatternTree, Embedding]] = []
-        for pos, i in enumerate(chosen):
-            k = 1 if pos < delta else 2
-            emb = find_rooted_broom(
-                g, v, k, delta, allowed=cores[i].vertices()
-            )
-            if emb is None:
-                return WitnessResult(
-                    None, None, "broom_construction",
-                    f"no ({k},{delta})-broom with handle {v} inside core {i}",
-                )
-            pieces.append((_broom_pattern(k, delta), emb))
-        return _assemble(g, v, pieces)
+        return _brooms(
+            g, v, delta, chosen, lambda i: cores[i].vertices(), "inside core"
+        )
 
     # template_contacts replay
     indices = sorted(violation.indices)
@@ -1084,30 +992,32 @@ def extract_T_delta_witness(
             f"needed {2 * delta} pairwise nonadjacent attachments, best class "
             f"gives {best_achieved}",
         )
-    pieces = []
+    return _brooms(
+        g, v, delta, chosen,
+        lambda i: cores[i].vertices() | {carriers[i]}, "through template",
+    )
+
+
+def _brooms(
+    g: Graph,
+    handle: int,
+    delta: int,
+    chosen: list[int],
+    allowed: Callable[[int], frozenset[int]],
+    where: str,
+) -> WitnessResult:
+    """One broom per chosen index, inside ``allowed(i)``: delta
+    (1,delta)-brooms, then delta (2,delta)-brooms, joined at the handle."""
+    pieces: list[tuple[PatternTree, Embedding]] = []
     for pos, i in enumerate(chosen):
         k = 1 if pos < delta else 2
-        emb = find_rooted_broom(
-            g, v, k, delta, allowed=cores[i].vertices() | {carriers[i]}
-        )
+        emb = find_rooted_broom(g, handle, k, delta, allowed=allowed(i))
         if emb is None:
             return WitnessResult(
                 None, None, "broom_construction",
-                f"no ({k},{delta})-broom with handle {v} through template {i}",
+                f"no ({k},{delta})-broom with handle {handle} {where} {i}",
             )
-        pieces.append((_broom_pattern(k, delta), emb))
-    return _assemble(g, v, pieces)
-
-
-def _broom_pattern(k: int, delta: int) -> PatternTree:
-    from .trees import build_broom
-
-    return build_broom(k, delta)
-
-
-def _assemble(
-    g: Graph, handle: int, pieces: list[tuple[PatternTree, Embedding]]
-) -> WitnessResult:
+        pieces.append((build_broom(k, delta), emb))
     result: AssembleResult = assemble_T_delta(g, handle, pieces)
     if result.embedding is None:
         return WitnessResult(

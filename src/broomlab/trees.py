@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, check_vertex_set, least_stable_subset
-from .solvers import DEFAULT_SOLVER_LIMIT, InstanceTooLarge
+from .solvers import check_limit
 
 
 @dataclass(frozen=True)
@@ -92,20 +92,7 @@ def build_broom(k: int, leaves: int) -> PatternTree:
     Vertices 0..k form the path, k+1..k+leaves the pendant leaves at the
     far end.
     """
-    if k < 1:
-        raise ValueError("broom length must be at least 1")
-    if leaves < 0:
-        raise ValueError("leaf count must be nonnegative")
-    edges = [(i, i + 1) for i in range(k)]
-    edges += [(k, k + 1 + j) for j in range(leaves)]
-    tree = Graph(k + 1 + leaves, edges)
-    tag = BroomTag(
-        length=k,
-        leaf_count=leaves,
-        path_vertices=tuple(range(k + 1)),
-        leaf_vertices=tuple(range(k + 1, k + 1 + leaves)),
-    )
-    return PatternTree(tree=tree, handle=0, broom_tags=(tag,))
+    return build_multibroom([(k, leaves)])
 
 
 def build_multibroom(specs: list[tuple[int, int]]) -> PatternTree:
@@ -165,9 +152,7 @@ def contains_induced(
     such sibling subtrees changes no position before the first sibling,
     so the least mapping already puts them in increasing order.
     """
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    if host.n > cap:
-        raise InstanceTooLarge("contains_induced", host.n, cap)
+    check_limit("contains_induced", host.n, limit)
     pn = pattern.tree.n
     if pn > host.n:
         return None
@@ -249,9 +234,7 @@ def find_rooted_broom(
     All non-handle vertices come from ``allowed``; nothing may touch
     ``forbidden``.  Lowest-id choices first.
     """
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    if host.n > cap:
-        raise InstanceTooLarge("find_rooted_broom", host.n, cap)
+    check_limit("find_rooted_broom", host.n, limit)
     host.check_vertex(handle)
     allowed = check_vertex_set(host, allowed)
     forbidden = check_vertex_set(host, forbidden)
@@ -259,8 +242,6 @@ def find_rooted_broom(
         raise ValueError("handle may not be forbidden")
     if allowed & forbidden:
         raise ValueError("allowed and forbidden overlap")
-    if k < 1:
-        raise ValueError("broom length must be at least 1")
     pattern = build_broom(k, leaves)
     pool = allowed - {handle}
 

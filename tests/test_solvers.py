@@ -10,6 +10,7 @@ from broomlab.solvers import (
     InstanceTooLarge,
     _k_colorable,
     chi_local,
+    chi_of_set,
     chromatic_number,
     clique_number,
     greedy_coloring,
@@ -179,3 +180,25 @@ def test_chi_equals_local_with_big_radius(c5, pet):
     # Closed balls of radius >= diameter hold the whole graph.
     assert chi_local(c5, 2) == chromatic_number(c5)[0]
     assert chi_local(pet, 2) == chromatic_number(pet)[0]
+
+
+def test_chi_of_set_matches_oracle():
+    rng = random.Random(29)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        verts = frozenset(v for v in range(g.n) if rng.random() < 0.6)
+        sub, _ = induced(g, verts)
+        assert chi_of_set(g, verts) == chromatic_number_oracle(sub)
+
+
+def test_chi_of_set_refuses_above_the_limit(monkeypatch):
+    g = Graph(70, [(i, i + 1) for i in range(69)])
+    assert chi_of_set(g, frozenset(range(64))) == 2
+    assert chi_of_set(g, frozenset(range(5)), limit=5) == 2
+    # The refusal comes before the subgraph is built.
+    monkeypatch.setattr("broomlab.solvers.induced", None)
+    for verts, limit, cap in ((range(65), None, 64), (range(6), 5, 5)):
+        with pytest.raises(InstanceTooLarge) as info:
+            chi_of_set(g, frozenset(verts), limit=limit)
+        assert (info.value.what, info.value.size, info.value.limit) == (
+            "chromatic_number", cap + 1, cap)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from broomlab.constants import epsilon_of
+from broomlab.constants import epsilon_of, shadow_chi_bound_of
 from broomlab.generators import FIXTURES, complete_multipartite
 from broomlab.graphs import Digraph, Graph
+from broomlab.shadows import Privatization
 from broomlab.solvers import validate_coloring
 from broomlab.structures import CoreWitness, Params
 from broomlab.templates import (
@@ -442,6 +443,169 @@ def test_audit_pass_on_verified_fixture(small_params, fixtures):
         assert report.checks[rule].status == "pass"
     payload = report.to_json_dict()
     assert payload["core_contacts"]["status"] == "pass"
+
+
+def edge_core_array(k, edges, z0=(), u=(), cleanliness="clean1", params=None):
+    """k templates whose cores are the edges (2i, 2i+1); template 0 also
+    holds the Z vertices ``z0``.  Vertices from 2k on are free."""
+    n = max([2 * k - 1, *z0, *u, *(x for e in edges for x in e)]) + 1
+    core_edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    templates = []
+    for i in range(k):
+        core = CoreWitness((frozenset({2 * i}), frozenset({2 * i + 1})))
+        templates.append(Template(core, core.vertices() | (set(z0) if i == 0 else set())))
+    return TemplateArray(
+        graph=Graph(n, core_edges + list(edges)),
+        templates=tuple(templates),
+        u=frozenset(u),
+        params=params or Params(delta=1, tau=0, alpha=1, beta=2, zeta=2, eta=1),
+        cleanliness=cleanliness,
+    )
+
+
+def hub_array(**kw):
+    """13 templates; Z vertex 26 of template 0 sees one core vertex of each."""
+    return edge_core_array(13, [(26, 2 * i) for i in range(13)], z0=(26,), **kw)
+
+
+def reach_array(reached, **kw):
+    """9 templates; U vertex 18 sees U vertices 19..27, each of which sees
+    one core; only the first ``reached`` of them are in U."""
+    edges = [(18, 19 + i) for i in range(9)] + [(19 + i, 2 * i) for i in range(9)]
+    u = [18] + [19 + i for i in range(reached)]
+    return edge_core_array(9, edges, u=u, cleanliness="clean3", **kw)
+
+
+NESTED = Params(delta=1, tau=0, alpha=1, beta=2, zeta=1602, eta=1601)
+ONE = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+NO_PI = Privatization(frozenset(), (), (), frozenset())
+SIDE_TEMPLATE = "needs eta >= delta and zeta >= max(eta, alpha) + delta"
+NO_PRIV = ("skipped", None, None, "no privatization supplied")
+
+
+def level_skip(required, declared):
+    return ("skipped", None, None, f"requires {required}; array declares {declared}")
+
+
+def lie(declared):
+    return ("precondition_failed", None, None,
+            f"declared cleanliness {declared!r} fails verification")
+
+
+AUDIT_CASES = [
+    # (array, privatization, limit, {rule: (status, bound, worst, reason)})
+    (hub_array(), None, None, {
+        "core_contacts": ("violation", 2, 13, ""),
+        "template_contacts": ("violation", 3, 13, ""),
+        "strong_contacts": ("violation", 12, 13, ""),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": level_skip("clean3", "clean1"),
+        "shadow_chi": NO_PRIV,
+    }),
+    (hub_array(cleanliness="raw"), NO_PI, None, {
+        "core_contacts": level_skip("clean1", "raw"),
+        "template_contacts": level_skip("clean1", "raw"),
+        "strong_contacts": level_skip("clean1", "raw"),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": level_skip("clean3", "raw"),
+        "shadow_chi": level_skip("clean2", "raw"),
+    }),
+    (edge_core_array(13, [(26, 2 * i) for i in range(13)] + [(26, 1)], z0=(26,)),
+     NO_PI, None, {
+        "core_contacts": lie("clean1"),
+        "template_contacts": lie("clean1"),
+        "strong_contacts": lie("clean1"),
+        "dense_count": ("violation", 0, 1, ""),
+        "nested_indices": level_skip("clean3", "clean1"),
+        "shadow_chi": level_skip("clean2", "clean1"),
+    }),
+    (hub_array(params=Params(delta=2, tau=0, alpha=1, beta=2, zeta=3, eta=1)),
+     None, None, {
+        "core_contacts": ("violation", 4, 13, ""),
+        "template_contacts": ("skipped", None, None, SIDE_TEMPLATE),
+        "strong_contacts": ("skipped", None, None, SIDE_TEMPLATE),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": level_skip("clean3", "clean1"),
+        "shadow_chi": NO_PRIV,
+    }),
+    (hub_array(params=Params(delta=1, tau=0, alpha=1, beta=2, zeta=1, eta=1)),
+     None, None, {
+        "core_contacts": ("skipped", None, None, "needs zeta >= max(eta + delta, alpha)"),
+        "template_contacts": ("skipped", None, None, SIDE_TEMPLATE),
+        "strong_contacts": ("skipped", None, None, SIDE_TEMPLATE),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": level_skip("clean3", "clean1"),
+        "shadow_chi": NO_PRIV,
+    }),
+    (hub_array(cleanliness="clean3", params=NESTED), NO_PI, None, {
+        "core_contacts": lie("clean3"),
+        "template_contacts": lie("clean3"),
+        "strong_contacts": lie("clean3"),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": lie("clean3"),
+        "shadow_chi": lie("clean3"),
+    }),
+    (reach_array(9, params=NESTED), NO_PI, None, {
+        "core_contacts": ("pass", 2, 1, ""),
+        "template_contacts": ("pass", 3, 1, ""),
+        "strong_contacts": ("pass", 9612, 1, ""),
+        "dense_count": ("pass", 0, 0, ""),
+        "nested_indices": ("violation", 9, 9, ""),
+        "shadow_chi": ("skipped", None, None, "second-neighbourhood hypothesis fails"),
+    }),
+    (reach_array(8, params=NESTED), NO_PI, None, {
+        "nested_indices": ("pass", 9, 8, ""),
+        "shadow_chi": ("violation", 0, 2, ""),
+    }),
+    (reach_array(8, params=NESTED), NO_PI, 8, {
+        "shadow_chi": ("skipped", None, None,
+                       "unprivatized U exceeds the exact solver limit"),
+    }),
+    (reach_array(8, params=NESTED), Privatization(frozenset(range(18, 27)), (), (), frozenset()),
+     None, {"shadow_chi": ("pass", 0, 0, "")}),
+    (reach_array(9, params=ONE), NO_PI, None, {
+        "core_contacts": ("pass", 2, 1, ""),
+        "template_contacts": ("pass", 9, 1, ""),
+        "strong_contacts": ("pass", 332, 1, ""),
+        "dense_count": ("pass", 16, 0, ""),
+        "nested_indices": ("skipped", None, None,
+                           "needs eta >= alpha + 2*(delta+1)^3*(epsilon+1)^2"
+                           " and zeta >= eta + delta"),
+        "shadow_chi": ("pass", shadow_chi_bound_of(ONE), 2, ""),
+    }),
+]
+
+
+@pytest.mark.parametrize("case", range(len(AUDIT_CASES)))
+def test_bound_audit_rule_statuses(case):
+    arr, priv, limit, expected = AUDIT_CASES[case]
+    report = bound_audit(arr, privatization=priv, limit=limit).to_json_dict()
+    assert list(report) == [
+        "core_contacts", "template_contacts", "strong_contacts",
+        "dense_count", "nested_indices", "shadow_chi",
+    ]
+    for rule, want in expected.items():
+        got = report[rule]
+        assert (got["status"], got["bound"], got["worst"], got["reason"]) == want, rule
+        if got["status"] != "violation":
+            assert got["violations"] == []
+
+
+def test_bound_audit_violation_records():
+    hub = bound_audit(hub_array()).checks
+    everything = tuple(range(13))
+    assert hub["core_contacts"].violations == (
+        AuditViolation("core_contacts", 26, everything, 13, 2),)
+    assert hub["template_contacts"].violations == (
+        AuditViolation("template_contacts", 26, everything, 13, 3),)
+    assert hub["strong_contacts"].violations == (
+        AuditViolation("strong_contacts", 0, everything, 13, 12),)
+    lying = edge_core_array(2, [(4, 0), (4, 1)], z0=(4,))
+    assert bound_audit(lying).checks["dense_count"].violations == (
+        AuditViolation("dense_count", 0, (4,), 1, 0),)
+    nested = bound_audit(reach_array(9, params=NESTED)).checks["nested_indices"]
+    assert nested.violations == (
+        AuditViolation("nested_indices", 18, tuple(range(9)), 9, 9),)
 
 
 # --- witness extraction ------------------------------------------------------
