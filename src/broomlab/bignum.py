@@ -274,4 +274,10 @@ def decimal_string(n: int) -> str:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(convert(n, n.bit_length()))
+        try:
+            return str(convert(n, n.bit_length()))
+        finally:
+            # convert refers to itself through its closure; breaking that
+            # cycle frees ``powers`` (large Decimals) at once instead of
+            # whenever the cycle collector next runs.
+            del convert

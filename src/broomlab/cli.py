@@ -16,6 +16,7 @@ import io
 import json
 import sys
 import time
+from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -69,8 +70,74 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _scalar(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )
+
+
+def _scalar(x) -> str:
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == INFINITY:
+            return "Infinity"
+        if x == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def render_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    json's encoder falls back to pure Python whenever it indents (before
+    Python 3.13); this renderer joins whole containers instead of
+    yielding one token at a time.  Dict items are sorted by their
+    original keys before the keys become strings, as ``sort_keys`` does,
+    so int keys sort numerically and mixed key types raise TypeError.
+    ``pad`` is the newline and indentation of the enclosing level.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return (
+            "[" + inner
+            + ("," + inner).join([render_json(x, inner) for x in obj])
+            + pad + "]"
+        )
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join([
+                encode_basestring_ascii(_key(k)) + ": " + render_json(v, inner)
+                for k, v in sorted(obj.items())
+            ])
+            + pad + "}"
+        )
+    return _scalar(obj)
+
+
 def _dump(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(render_json(payload) + "\n", out)
 
 
 def _load_graph(args) -> Graph:

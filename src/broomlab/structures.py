@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, check_vertex_set, is_stable
+from .graphs import Graph, check_vertex_set
 from .solvers import (
     check_limit,
     chi_local,
@@ -20,13 +20,21 @@ EXHAUSTIVE_SUBSET_LIMIT = 16
 
 @dataclass(frozen=True)
 class CoreWitness:
-    """b disjoint stable parts of size a, pairwise completely joined."""
+    """b disjoint stable parts of size a, pairwise completely joined.
+
+    Each part is also held as an int mask over vertex ids (``masks``),
+    so a vertex's neighbours in a part are ``g.bits[v] & mask``.
+    """
 
     parts: tuple[frozenset[int], ...]
     _vertices: frozenset[int] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
+        object.__setattr__(
+            self, "masks", tuple(sum(1 << v for v in p) for p in self.parts)
+        )
 
     @property
     def a(self) -> int:
@@ -43,19 +51,16 @@ class CoreWitness:
 def verify_core(g: Graph, core: CoreWitness, a: int, b: int) -> bool:
     if core.b != b or any(len(p) != a for p in core.parts):
         return False
-    seen: set[int] = set()
-    for p in core.parts:
-        if p & seen:
+    check_vertex_set(g, core.vertices())
+    bits = g.bits
+    seen = 0
+    for p, mask in zip(core.parts, core.masks):
+        if mask & seen:
             return False
-        seen |= p
-        if not is_stable(g, p):
+        # Stable, and joined to every vertex of the parts before it.
+        if any(bits[u] & mask or seen & ~bits[u] for u in p):
             return False
-    parts = core.parts
-    for i in range(b):
-        for j in range(i + 1, b):
-            for u in parts[i]:
-                if not parts[j] <= g.adj[u]:
-                    return False
+        seen |= mask
     return True
 
 
@@ -145,10 +150,16 @@ def find_core(
 
     Parts are built in increasing order of their minimum vertex, and
     inside a part vertices are tried in increasing id.  Candidate sets
-    are bitmasks over ``g.bits``: candidates for part j must be adjacent
-    to every chosen vertex of parts before j (cross-completeness
-    pruning), and choosing v removes its neighbours from the part's
-    remaining candidates, which keeps the part stable.
+    are bitmasks over ``g.bits``: choosing v removes its neighbours from
+    the part's remaining candidates, which keeps the part stable, and a
+    part keeps the AND of its chosen vertices' neighbour masks, starting
+    from ``common``; that intersection is the next part's ``common``.
+
+    Every later part must lie inside that intersection, so a vertex is
+    skipped when its intersection holds fewer than ``a`` vertices per
+    part still to build.  The bound only cuts branches that cannot
+    complete a core, and the search order is unchanged, so the first
+    witness found is the same one the unbounded search finds.
     """
     if a < 1 or b < 1:
         raise ValueError("core dimensions must be positive")
@@ -163,17 +174,15 @@ def find_core(
         """Choose the next stable a-subset of ``common`` whose minimum
         exceeds ``floor``, then recurse."""
         part: list[int] = []
+        later = a * (b - len(parts) - 1)
 
-        def grow(cand: int) -> CoreWitness | None:
+        def grow(cand: int, inter: int) -> CoreWitness | None:
             if len(part) == a:
                 parts.append(part.copy())
                 if len(parts) == b:
                     out = CoreWitness(tuple(frozenset(p) for p in parts))
                 else:
-                    rest = common
-                    for u in part:
-                        rest &= bits[u]
-                    out = build_part(rest, part[0])
+                    out = build_part(inter, part[0])
                 parts.pop()
                 return out
             if cand.bit_count() < a - len(part):
@@ -182,14 +191,17 @@ def find_core(
                 low = cand & -cand
                 cand ^= low
                 v = low.bit_length() - 1
+                nxt = inter & bits[v]
+                if nxt.bit_count() < later:
+                    continue
                 part.append(v)
-                found = grow(cand & ~bits[v])
+                found = grow(cand & ~bits[v], nxt)
                 if found:
                     return found
                 part.pop()
             return None
 
-        return grow(common >> (floor + 1) << (floor + 1))
+        return grow(common >> (floor + 1) << (floor + 1), common)
 
     return build_part((1 << g.n) - 1, -1)
 
@@ -199,7 +211,11 @@ def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:
     g.check_vertex(v)
     if v in core.vertices():
         raise ValueError(f"vertex {v} belongs to the core")
-    return all(len(g.adj[v] & part) >= alpha for part in core.parts)
+    row = g.bits[v]
+    for mask in core.masks:
+        if (row & mask).bit_count() < alpha:
+            return False
+    return True
 
 
 def is_eta_mixed(
@@ -210,9 +226,10 @@ def is_eta_mixed(
     g.check_vertex(v)
     if v in core.vertices():
         return True
-    if is_dense_to(g, v, core, alpha):
-        return False
-    return any(len(g.adj[v] & part) >= eta for part in core.parts)
+    row = g.bits[v]
+    counts = [(row & mask).bit_count() for mask in core.masks]
+    # With no parts every vertex is (vacuously) dense, so none is mixed.
+    return bool(counts) and min(counts) < alpha and max(counts) >= eta
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,12 @@ def is_partially_2_cleaned(arr: TemplateArray, d: int) -> bool:
 
 
 def is_2_cleaned(arr: TemplateArray) -> bool:
-    if not is_1_cleaned(arr):
-        return False
+    return is_1_cleaned(arr) and _separated(arr)
+
+
+def _separated(arr: TemplateArray) -> bool:
+    """What 2-cleanliness adds to 1-cleanliness: no edge between the H
+    sets of two templates, and each template's Z (H minus core) stable."""
     g = arr.graph
     hs, n = arr.h_sets(), arr.size
     for i in range(n):
@@ -529,7 +533,8 @@ def clean2(
         "ledger_d": gamma * (p.delta - 1),
         "ledger_s": strong_s_of(p),
     }
-    report["identity"] = is_2_cleaned(arr)
+    # is_1_cleaned held above, so this is is_2_cleaned(arr).
+    report["identity"] = _separated(arr)
     if report["identity"]:
         return replace(arr, cleanliness="clean2", partial2_degree=None), report
     n = arr.size

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from broomlab.cli import main
+from broomlab.cli import main, render_json
 from broomlab.generators import petersen
 from broomlab.graph_io import (
     GraphParseError,
@@ -245,3 +246,53 @@ def test_cli_determinism(tmp_path):
     assert (tmp_path / "a_ledger.json").read_bytes() == (
         tmp_path / "b_ledger.json"
     ).read_bytes()
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+)
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_payloads = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4),
+        st.dictionaries(st.integers(-300, 300), kids, max_size=4),
+        st.dictionaries(_keys, kids, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+def _encoded(fn, obj):
+    try:
+        return fn(obj)
+    except TypeError:  # keys of mixed types do not sort
+        return TypeError
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_payloads)
+def test_render_json_matches_json_dumps(obj):
+    want = _encoded(lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
+    assert _encoded(render_json, obj) == want
+
+
+def test_render_json_orders_keys_before_stringifying():
+    obj = {10: [], 9: {}, -1: [{}], 2.5: "\u00e9\U0001f600", "x": float("nan")}
+    with pytest.raises(TypeError):
+        render_json(obj)
+    del obj["x"]
+    text = render_json(obj)
+    assert text == json.dumps(obj, indent=2, sort_keys=True)
+    # Numeric order; sorting the key strings would put "10" before "2.5".
+    assert [text.index(f'"{k}"') for k in ("-1", "2.5", "9", "10")] == sorted(
+        text.index(f'"{k}"') for k in ("-1", "2.5", "9", "10")
+    )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from broomlab.generators import erdos_renyi
+from broomlab.generators import erdos_renyi, plant_core
 from broomlab.graphs import Graph
 from broomlab.oracles import find_core_oracle
 from broomlab.solvers import InstanceTooLarge
@@ -46,6 +46,32 @@ def test_find_core_matches_oracle_witness():
         assert (core.parts if core else None) == want, (g.sorted_edges(), a, b)
         found += core is not None
     assert 50 < found < 350  # both outcomes are exercised
+
+
+def test_find_core_bound_keeps_the_oracle_witness():
+    # A part is only grown from vertices whose common neighbourhood can
+    # still hold every later part.  Planted (a0, 3)-cores make the bound
+    # pass deep branches; dense hosts without the asked core make the
+    # search exhaustive, so every cut is tested against the oracle.
+    rng = random.Random(77)
+    planted_hits = exhausted = 0
+    for trial in range(160):
+        if trial % 2:
+            a0 = rng.randint(1, 3)
+            n = rng.randint(3 * a0, 12)
+            g, _ = plant_core(n, a0, 3, rng.uniform(0.1, 0.6), rng.getrandbits(32))
+        else:
+            n = rng.randint(6, 12)
+            g = erdos_renyi(n, rng.choice((0.6, 0.75, 0.9)), rng.getrandbits(32))
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                core = find_core(g, a, b)
+                want = find_core_oracle(g, a, b)
+                assert (core.parts if core else None) == want, (g.sorted_edges(), a, b)
+                if b == 3 and trial % 2 and a <= a0:
+                    planted_hits += 1
+                exhausted += core is None and a * b <= g.n
+    assert planted_hits >= 100 and exhausted >= 100
 
 
 def test_find_core_floor_rule():
@@ -94,6 +120,94 @@ def test_dense_and_mixed(c4):
         is_dense_to(one_part, 0, core, 1)
     two_each = Graph(5, list(c4.edges()) + [(4, 0), (4, 1)])
     assert not is_dense_to(two_each, 4, core, 2)  # alpha=2 needs two per part
+
+
+def _dense_ref(g, v, core, alpha):
+    return all(len(g.adj[v] & part) >= alpha for part in core.parts)
+
+
+def _mixed_ref(g, v, core, eta, alpha):
+    if v in core.vertices():
+        return True
+    if _dense_ref(g, v, core, alpha):
+        return False
+    return any(len(g.adj[v] & part) >= eta for part in core.parts)
+
+
+def _verify_ref(g, core, a, b):
+    if core.b != b or any(len(p) != a for p in core.parts):
+        return False
+    seen = set()
+    for p in core.parts:
+        if p & seen:
+            return False
+        seen |= p
+        if any(v in g.adj[u] for u in p for v in p):
+            return False
+    return all(
+        core.parts[j] <= g.adj[u]
+        for i in range(b)
+        for j in range(i + 1, b)
+        for u in core.parts[i]
+    )
+
+
+def _random_witness(rng, g):
+    """Real cores, planted-style parts, disjoint random parts and parts
+    that overlap, so every predicate meets both verdicts."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        core = find_core(g, rng.randint(1, 2), rng.randint(1, 3))
+        if core is not None:
+            return core
+    b = rng.randint(0, 3)
+    size = rng.randint(1, 3)
+    if kind == 3 and b:
+        return CoreWitness(tuple(
+            frozenset(rng.sample(range(g.n), min(size, g.n))) for _ in range(b)
+        ))
+    verts = rng.sample(range(g.n), min(g.n, b * size))
+    return CoreWitness(tuple(
+        frozenset(verts[i * size:(i + 1) * size]) for i in range(b)
+        if verts[i * size:(i + 1) * size]
+    ))
+
+
+def test_density_and_core_checks_match_set_reference():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32))
+        core = _random_witness(rng, g)
+        for a in {core.a, 1, 2}:
+            for b in {core.b, 2, 3}:
+                got = verify_core(g, core, a, b)
+                assert got == _verify_ref(g, core, a, b), (g.sorted_edges(), core, a, b)
+                verdicts.add(("core", got))
+        for v in range(n):
+            for alpha in (1, 2):
+                for eta in (1, 2):
+                    got = is_eta_mixed(g, v, core, eta, alpha)
+                    assert got == _mixed_ref(g, v, core, eta, alpha)
+                    verdicts.add(("mixed", got))
+                if v not in core.vertices():
+                    got = is_dense_to(g, v, core, alpha)
+                    assert got == _dense_ref(g, v, core, alpha)
+                    verdicts.add(("dense", got))
+    assert verdicts == {(k, x) for k in ("core", "mixed", "dense") for x in (True, False)}
+
+
+def test_density_with_no_parts(c4):
+    # Every vertex is vacuously dense to an empty witness, so none is
+    # mixed, and the empty witness is a (0, 0)-core.
+    empty = CoreWitness(())
+    assert empty.masks == () and empty.vertices() == frozenset()
+    for v in range(c4.n):
+        assert is_dense_to(c4, v, empty, 1)
+        assert not is_eta_mixed(c4, v, empty, 1, 1)
+    assert verify_core(c4, empty, 0, 0)
+    assert not verify_core(c4, empty, 1, 1)
 
 
 def test_matching_covered_examples():
