@@ -25,7 +25,7 @@ from .generators import GenSpec, generate
 from .graph_io import GraphParseError, read_graph, render_graph
 from .graphs import Graph
 from .pipeline import run_pipeline
-from .solvers import InstanceTooLarge, chi_local, chromatic_number, clique_number
+from .solvers import InstanceTooLarge, _chromatic_given_omega, chi_local, clique_number
 from .structures import Params, ThetaTable, find_core
 from .suites import SUITES, run_suite
 from .trees import is_T_delta_free
@@ -162,7 +162,7 @@ def cmd_analyze(args) -> int:
     p = _params_from_args(args)
     limit = args.solver_limit
     omega, omega_witness = clique_number(g, limit=limit)
-    chi, _ = chromatic_number(g, limit=limit)
+    chi, _ = _chromatic_given_omega(g, omega)
     chi1 = chi_local(g, 1, limit=limit) if g.n else 0
     chi2 = chi_local(g, 2, limit=limit) if g.n else 0
     t_free = is_T_delta_free(g, p.delta, limit=limit)
@@ -268,7 +268,7 @@ def cmd_survey(args) -> int:
         try:
             g = generate(spec)
             omega, _ = clique_number(g, limit=limit)
-            chi, _ = chromatic_number(g, limit=limit)
+            chi, _ = _chromatic_given_omega(g, omega)
             t_free = is_T_delta_free(g, delta, limit=limit)
             writer.writerow([row_id, spec.family, g.n, omega, chi, t_free, ""])
         except InstanceTooLarge as exc:

@@ -229,7 +229,10 @@ def least_stable_subset(
             chosen.pop()
         return False
 
-    return chosen if grow(0, 0) else None
+    try:
+        return chosen if grow(0, 0) else None
+    finally:
+        del grow  # break the closure's reference cycle
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

@@ -309,8 +309,11 @@ def find_bunch(
                         chosen.pop()
             return False
 
-        if pick(0):
-            return tuple(chosen)
+        try:
+            if pick(0):
+                return tuple(chosen)
+        finally:
+            del pick  # break the closure's reference cycle
     return None
 
 

@@ -6,12 +6,15 @@ All results here are exact.  Oversized instances are refused with
 ``clique_number`` is a colour-bounded branch and bound on neighbour
 bitmasks.  ``chromatic_number`` takes the clique number as its lower
 bound and a greedy DSATUR colouring as its upper bound, then asks a
-DSATUR backtracking search for a k-colouring at each k in between.  That
-search also runs on bitmasks: one forbidden-vertex mask per colour and
-bit-sliced saturation counters, so choosing the next vertex costs
-O(log k) big-int operations.  The greedy colouring is an upper bound
-only and is never reported as the chromatic number unless the clique
-bound meets it.
+DSATUR backtracking search for a k-colouring at each k in between.  Both
+DSATUR colourings run on the same bitsets: vertices relabelled by the
+tie-break (degree descending, then id), one forbidden-vertex mask per
+colour and bit-sliced saturation counters, so choosing the next vertex
+costs O(log k) big-int operations.  The greedy colouring is the
+backtracking search's first descent with unbounded colours: the same
+pick, and the lowest colour free at the picked vertex.  It is an upper
+bound only and is never reported as the chromatic number unless the
+clique bound meets it.
 
 Two helpers serve the rest of the library.  :func:`check_limit` is the
 one place the size cap is resolved (``limit`` or
@@ -72,30 +75,61 @@ def check_limit(what: str, size: int, limit: int | None) -> None:
         raise InstanceTooLarge(what, size, cap)
 
 
+def _dsatur_ranks(g: Graph) -> tuple[list[int], list[int]]:
+    """DSATUR's tie-break as a relabelling: each vertex's rank (degree
+    descending, then id) and each rank's neighbour mask over ranks."""
+    rank = sorted(range(g.n), key=lambda u: (-len(g.adj[u]), u))
+    where = [0] * g.n
+    for r, v in enumerate(rank):
+        where[v] = r
+    return where, [sum(1 << where[w] for w in g.adj[v]) for v in rank]
+
+
 def greedy_coloring(g: Graph) -> Coloring:
     """DSATUR greedy colouring; an upper bound, never reported as chi.
 
-    Ties break toward the highest static degree, then the lowest vertex
-    id, so output is reproducible.
+    The next vertex has the most distinct neighbour colours, ties toward
+    the highest static degree, then the lowest vertex id, so output is
+    reproducible; it takes the lowest colour none of its neighbours has.
+    Runs on the bitsets of ``_k_colorable``, of which it is the first
+    descent.
     """
     n = g.n
     if n == 0:
         return Coloring((), 0)
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), len(g.adj[u]), -u),
-        )
+    where, bits = _dsatur_ranks(g)
+    forbidden: list[int] = []
+    # A saturation never exceeds n - 1, so n.bit_length() planes hold it.
+    planes = [0] * n.bit_length()
+    color = [0] * n  # by rank
+    uncolored = (1 << n) - 1
+    while uncolored:
+        cand = uncolored
+        for plane in reversed(planes):
+            top = cand & plane
+            if top:
+                cand = top
+        low = cand & -cand
+        uncolored ^= low
+        v = low.bit_length() - 1
         c = 0
-        while c in neighbor_colors[v]:
+        for mask in forbidden:
+            if not mask & low:
+                break
             c += 1
-        colors[v] = c
-        for w in g.adj[v]:
-            if colors[w] == -1:
-                neighbor_colors[w].add(c)
-    return Coloring(tuple(colors), max(colors) + 1)
+        else:
+            forbidden.append(0)
+        color[v] = c
+        nb = bits[v]
+        carry = nb & ~forbidden[c]
+        b = 0
+        while carry:
+            x = planes[b]
+            planes[b] = x ^ carry
+            carry &= x
+            b += 1
+        forbidden[c] |= nb
+    return Coloring(tuple(color[r] for r in where), len(forbidden))
 
 
 def clique_number(
@@ -153,7 +187,10 @@ def clique_number(
             current.pop()
             cand &= ~(1 << v)
 
-    expand([], (1 << n) - 1)
+    try:
+        expand([], (1 << n) - 1)
+    finally:
+        del expand  # break the closure's reference cycle
     return best_size, tuple(best_set)
 
 
@@ -174,9 +211,7 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     n = g.n
     if k == 0:
         return Coloring((), 0) if n == 0 else None
-    rank = sorted(range(n), key=lambda u: (-len(g.adj[u]), u))
-    where = {v: r for r, v in enumerate(rank)}
-    bits = [sum(1 << where[w] for w in g.adj[v]) for v in rank]
+    where, bits = _dsatur_ranks(g)
     forbidden = [0] * k
     color = [-1] * n  # by rank
 
@@ -191,7 +226,9 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
         low = cand & -cand
         v = low.bit_length() - 1
         nb = bits[v]
-        for c in range(min(used + 1, k)):
+        # Conditionals, not min() and max(): builtin calls are most of a
+        # node's fixed cost.
+        for c in range(used + 1 if used < k else k):
             before = forbidden[c]
             if before & low:
                 continue
@@ -200,19 +237,26 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
             after = planes[:]
             b = 0
             while carry:
-                after[b], carry = after[b] ^ carry, after[b] & carry
+                x = after[b]
+                after[b] = x ^ carry
+                carry &= x
                 b += 1
             forbidden[c] = before | nb
             color[v] = c
-            if solve(uncolored ^ low, after, max(used, c + 1)):
+            if solve(uncolored ^ low, after, c + 1 if c == used else used):
                 return True
             forbidden[c] = before
         return False
 
     # A saturation never exceeds k, so k.bit_length() planes hold it.
-    if not solve((1 << n) - 1, [0] * k.bit_length(), 0):
-        return None
-    colors = [color[where[v]] for v in range(n)]
+    try:
+        if not solve((1 << n) - 1, [0] * k.bit_length(), 0):
+            return None
+    finally:
+        # solve refers to itself through its closure; breaking the cycle
+        # frees it now instead of at the next cycle collection.
+        del solve
+    colors = [color[r] for r in where]
     return Coloring(tuple(colors), max(colors) + 1 if colors else 0)
 
 
@@ -223,12 +267,17 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
         return 0, Coloring((), 0)
     if g.m == 0:
         return 1, Coloring((0,) * g.n, 1)
-    lower, _ = clique_number(g, limit=limit)
+    return _chromatic_given_omega(g, clique_number(g, limit=limit)[0])
+
+
+def _chromatic_given_omega(g: Graph, omega: int) -> tuple[int, Coloring]:
+    """``chromatic_number`` of a graph whose clique number ``omega`` is
+    already known, so a caller that reports both searches for it once."""
     upper_col = greedy_coloring(g)
     upper = upper_col.palette_size
-    if lower == upper:
+    if omega == upper:
         return upper, upper_col
-    for k in range(lower, upper):
+    for k in range(omega, upper):
         col = _k_colorable(g, k)
         if col is not None:
             # Witness palette must be exactly k even when the search used

@@ -201,9 +201,15 @@ def find_core(
                 part.pop()
             return None
 
-        return grow(common >> (floor + 1) << (floor + 1), common)
+        try:
+            return grow(common >> (floor + 1) << (floor + 1), common)
+        finally:
+            del grow  # break the closure's reference cycle
 
-    return build_part((1 << g.n) - 1, -1)
+    try:
+        return build_part((1 << g.n) - 1, -1)
+    finally:
+        del build_part
 
 
 def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:
@@ -314,7 +320,11 @@ def max_matching_covered_chi(
                 xs.discard(v)
             return False
 
-        if scan(set(), 0):
+        try:
+            found = scan(set(), 0)
+        finally:
+            del scan  # break the closure's reference cycle
+        if found:
             bad, chi = violation[0]
             return MatchingCoveredVerdict("violation", bad, chi, checked)
         return MatchingCoveredVerdict("pass_exhaustive", subsets_checked=checked)

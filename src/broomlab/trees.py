@@ -4,8 +4,9 @@ A broom of length k is a k-edge path with extra leaves at the far end;
 the near end is the handle.  Multibrooms glue brooms at a shared handle.
 The containment search is exact backtracking: induced tree matching in
 general hosts is NP-hard, so candidates are pruned hard by degree, by
-non-adjacency against already-placed vertices, and by ordering
-interchangeable sibling subtrees.
+non-adjacency against already-placed vertices, by ordering
+interchangeable sibling subtrees, and by a look-ahead that each placed
+vertex still has enough hosts left for its children.
 """
 
 from __future__ import annotations
@@ -151,6 +152,14 @@ def contains_induced(
     its earlier twin's image.  The witness does not move: swapping two
     such sibling subtrees changes no position before the first sibling,
     so the least mapping already puts them in increasing order.
+
+    A look-ahead drops a host as soon as some placed vertex can no longer
+    be given its remaining children: each of them needs a distinct host
+    that is adjacent to its parent's image, unused, next to no other
+    placed vertex and of high enough degree, and that supply only shrinks
+    as the search goes deeper.  So only branches that cannot complete are
+    cut; the order of the search is unchanged, and so is the first
+    embedding it finds.
     """
     check_limit("contains_induced", host.n, limit)
     pn = pattern.tree.n
@@ -185,6 +194,14 @@ def contains_induced(
         for d in set(pdeg)
     }
     fits = [masks[d] for d in pdeg]
+    # opens[i]: (j, need, fit) for each position j <= i with need of its
+    # children placed after i; each of them takes a distinct host from
+    # fit, the hosts of the least degree those children ask for.
+    opens: list[list[tuple[int, int, int]]] = [[] for _ in range(pn)]
+    for j, kids in enumerate(children):
+        for i in range(j, kids[-1] if kids else j):
+            rest = [c for c in kids if c > i]
+            opens[i].append((j, len(rest), masks[min(pdeg[c] for c in rest)]))
     hbits = host.bits
     mapping = [-1] * pn
 
@@ -203,12 +220,22 @@ def contains_induced(
             h = low.bit_length() - 1
             mapping[i] = h
             nb = hbits[h]
-            if place(i + 1, used | low, once | nb, twice | (once & nb)):
-                return True
+            used_h = used | low
+            twice_h = twice | (once & nb)
+            free = ~(used_h | twice_h)
+            for j, need, fit in opens[i]:
+                if (fit & hbits[mapping[j]] & free).bit_count() < need:
+                    break
+            else:
+                if place(i + 1, used_h, once | nb, twice_h):
+                    return True
         return False
 
-    if not place(0, 0, 0, 0):
-        return None
+    try:
+        if not place(0, 0, 0, 0):
+            return None
+    finally:
+        del place  # break the closure's reference cycle
     return Embedding(tuple(sorted(zip(order, mapping))))
 
 
@@ -282,7 +309,10 @@ def find_rooted_broom(
             return None
         return emb
 
-    return extend_path()
+    try:
+        return extend_path()
+    finally:
+        del extend_path  # break the closure's reference cycle
 
 
 @dataclass(frozen=True)

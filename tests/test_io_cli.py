@@ -196,6 +196,46 @@ def test_cli_survey(tmp_path):
     assert "exceeds solver limit" in lines[3]
 
 
+def test_cli_searches_omega_once(tmp_path, monkeypatch):
+    # analyze and survey report omega and chi; chi reuses the omega they
+    # already searched for.  Wrapped in every module that binds it.
+    from broomlab import cli, solvers
+
+    seen = []
+    original = solvers.clique_number
+
+    def counted(g, limit=None):
+        seen.append(g)
+        return original(g, limit=limit)
+
+    monkeypatch.setattr(solvers, "clique_number", counted)
+    monkeypatch.setattr(cli, "clique_number", counted)
+    manifest = {
+        "analysis": {"delta": 1},
+        "instances": [
+            {"id": "pet", "family": "fixture", "params": {"id": "petersen"}},
+            {"id": "gnp", "family": "erdos_renyi",
+             "params": {"n": 40, "p": 0.5}, "seed": 1},
+        ],
+    }
+    mfile = tmp_path / "manifest.json"
+    mfile.write_text(json.dumps(manifest))
+    out = tmp_path / "rows.csv"
+    assert run_cli("survey", "--manifest", str(mfile), "--out", str(out)) == 0
+    assert len(seen) == 2
+    rows = out.read_text().splitlines()
+    assert rows[1].startswith("pet,fixture,10,2,3,")
+
+    graph_file = tmp_path / "pet.edges"
+    write_graph(petersen(), graph_file, "edgelist")
+    seen.clear()
+    assert run_cli("analyze", "--graph", str(graph_file),
+                   "--out", str(tmp_path / "report.json")) == 0
+    # chi_local colours balls, which are other graphs; the host is
+    # searched once.
+    assert sum(g is seen[0] for g in seen) == 1
+
+
 def test_cli_exit_codes(tmp_path):
     missing = run_cli("analyze", "--graph", str(tmp_path / "nope.edges"))
     assert missing == 2

@@ -170,6 +170,40 @@ def test_greedy_is_internal_upper_bound(pet):
     assert col.palette_size >= chromatic_number(pet)[0]
 
 
+def greedy_reference(g: Graph) -> tuple[int, ...]:
+    """DSATUR greedy over colour sets: the uncoloured vertex with the
+    most distinct neighbour colours goes next (ties to the higher degree,
+    then the lower id) and takes the lowest colour no neighbour has."""
+    colors = [-1] * g.n
+    for _ in range(g.n):
+        best = None
+        for u in range(g.n):
+            if colors[u] != -1:
+                continue
+            key = (len({colors[w] for w in g.adj[u]} - {-1}), len(g.adj[u]), -u)
+            if best is None or key > best[0]:
+                best = (key, u)
+        v = best[1]
+        taken = {colors[w] for w in g.adj[v]}
+        colors[v] = min(c for c in range(g.n) if c not in taken)
+    return tuple(colors)
+
+
+def test_greedy_coloring_matches_set_reference():
+    rng = random.Random(31)
+    graphs = [Graph(0), Graph(1), Graph(9), Graph(6, [(u, v) for u in range(6)
+                                                       for v in range(u + 1, 6)])]
+    graphs += [random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.95))
+               for _ in range(320)]
+    for g in graphs:
+        col = greedy_coloring(g)
+        assert col.colors == greedy_reference(g)
+        assert col.palette_size == len(set(col.colors))
+        assert validate_coloring(g, col)
+    assert greedy_coloring(graphs[2]).colors == (0,) * 9
+    assert greedy_coloring(graphs[3]).palette_size == 6
+
+
 def test_witness_uses_exactly_chi_colors(pet, groe):
     for g in (pet, groe):
         chi, col = chromatic_number(g)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -127,6 +128,15 @@ def least_embedding_brute(host: Graph, pattern: PatternTree) -> dict | None:
     return dict(zip(order, images)) if extend() else None
 
 
+def plant(rng: random.Random, host: Graph, pattern: PatternTree) -> Graph:
+    """The host with an induced copy of the pattern on a random vertex set."""
+    spot = rng.sample(range(host.n), pattern.tree.n)
+    inside = set(spot)
+    edges = [(u, v) for u, v in host.edges() if not {u, v} <= inside]
+    edges += [(spot[u], spot[v]) for u, v in pattern.tree.edges()]
+    return Graph(host.n, edges)
+
+
 def test_contains_induced_is_least_embedding():
     # Same-shape siblings (star and broom leaves, spider legs) are
     # searched in increasing host order; where shapes mix, as in T(1) or
@@ -159,16 +169,51 @@ def test_contains_induced_is_least_embedding():
             pattern = fixed[kind]
         host = random_graph(rng, rng.randint(pattern.tree.n, 10), rng.uniform(0.1, 0.5))
         if rng.random() < 0.5:
-            spot = rng.sample(range(host.n), pattern.tree.n)
-            inside = set(spot)
-            edges = [(u, v) for u, v in host.edges() if not {u, v} <= inside]
-            edges += [(spot[u], spot[v]) for u, v in pattern.tree.edges()]
-            host = Graph(host.n, edges)
+            host = plant(rng, host, pattern)
         emb = contains_induced(host, pattern)
         want = least_embedding_brute(host, pattern)
         assert (None if emb is None else emb.as_dict()) == want
         found[kind] += want is not None
     assert all(count >= 10 for count in found), found
+
+
+def test_look_ahead_keeps_least_embedding():
+    # Patterns whose inner vertices have several children, on hosts large
+    # enough that the child-supply look-ahead cuts branches: the witness
+    # must still be the least embedding.
+    patterns = [
+        build_T(2),
+        build_multibroom([(2, 2), (1, 2), (2, 2)]),
+        build_multibroom([(1, 2), (2, 1), (1, 3)]),
+        build_multibroom([(2, 3), (1, 1)]),
+    ]
+    rng = random.Random(41)
+    found = 0
+    nodes = [0]
+
+    def count_nodes(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "place":
+            nodes[0] += 1
+
+    for trial in range(40):
+        pattern = patterns[trial % len(patterns)]
+        host = random_graph(rng, rng.randint(15, 18), rng.uniform(0.15, 0.35))
+        if trial % 2:
+            host = plant(rng, host, pattern)
+        sys.setprofile(count_nodes)
+        try:
+            emb = contains_induced(host, pattern)
+        finally:
+            sys.setprofile(None)
+        want = least_embedding_brute(host, pattern)
+        assert (None if emb is None else emb.as_dict()) == want
+        found += want is not None
+    assert 20 <= found < 40, found
+    # The cut itself, counted in search nodes (calls of the inner
+    # ``place``): 3014 with the look-ahead, 15887 without it, 9361 when
+    # each position's last child goes unchecked, 15662 when hosts next to
+    # two placed vertices count as free.
+    assert 0 < nodes[0] <= 3014, nodes[0]
 
 
 def test_single_vertex_pattern(pet):
