@@ -7,13 +7,20 @@ mutate after construction, so they can be shared freely across workers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 4096
 
 
 class Graph:
-    """Undirected simple graph: symmetric set adjacency, no self-loops."""
+    """Undirected simple graph over ids 0..n-1, no self-loops.
+
+    ``bits[v]`` is v's neighbourhood as an int mask (bit w set when w is
+    adjacent to v).  The solvers, the core search and the pipeline read
+    only ``n`` and ``bits``.  ``adj`` holds the same neighbourhoods as
+    frozensets for the code that walks sets: the oracles, the tree
+    search and the generators.
+    """
 
     __slots__ = ("n", "adj", "bits", "_hash")
 
@@ -30,7 +37,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        # Per-vertex neighbour bitmasks; hot loops in the solvers use these.
         self.bits: tuple[int, ...] = tuple(
             sum(1 << w for w in s) for s in self.adj
         )
@@ -146,6 +152,67 @@ def check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     for v in fs:
         g.check_vertex(v)
     return fs
+
+
+def mask_of(s: Iterable[int]) -> int:
+    """The int mask with bit v set for every member v."""
+    out = 0
+    for v in s:
+        out |= 1 << v
+    return out
+
+
+def members(mask: int) -> list[int]:
+    """The set bits of ``mask`` as vertex ids, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def lowest(mask: int) -> int:
+    """The lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def neighbors_of(g: Graph, mask: int) -> int:
+    """Mask of the vertices adjacent to some member of ``mask``."""
+    bits = g.bits
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+class SubsetView(NamedTuple):
+    """The subgraph induced by a vertex set, as the solvers read it: its
+    members renumbered 0..n-1 in increasing host id, and each member's
+    neighbours inside the set as a mask over those numbers."""
+
+    n: int
+    bits: tuple[int, ...]
+
+
+def subset_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
+    """The view of the members of ``mask``, and the host id of each
+    number.  Ids keep their order, as in :func:`induced`."""
+    bits = g.bits
+    ids = members(mask)
+    pos = {1 << v: 1 << i for i, v in enumerate(ids)}  # host bit -> view bit
+    rows = []
+    for v in ids:
+        nb = bits[v] & mask
+        row = 0
+        while nb:
+            low = nb & -nb
+            row |= pos[low]
+            nb ^= low
+        rows.append(row)
+    return SubsetView(len(ids), tuple(rows)), ids
 
 
 def _bfs_levels(g: Graph, v: int, k: int) -> tuple[set[int], set[int]]:

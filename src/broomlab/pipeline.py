@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, induced
+from .graphs import Graph, mask_of
 from .shadows import (
     Privatization,
     Shadowing,
@@ -20,6 +20,7 @@ from .shadows import (
     validate_privatization,
     validate_shadowing,
 )
+from .solvers import chi_memo
 from .structures import Params, find_core
 from .templates import (
     AuditReport,
@@ -75,6 +76,13 @@ def _check_stage(name: str, arr: TemplateArray) -> None:
 def run_pipeline(
     g: Graph, p: Params, limit: int | None = None
 ) -> PipelineTrace:
+    """Run every stage on ``g``.  Stages colour some vertex sets more
+    than once, so the run keeps one chi memo, dropped on return."""
+    with chi_memo(g):
+        return _run(g, p, limit)
+
+
+def _run(g: Graph, p: Params, limit: int | None) -> PipelineTrace:
     arr, leftover = extract_template_array(g, p, limit=limit)
     _check_stage("extract", arr)
     stages: list[tuple[str, TemplateArray, dict]] = [
@@ -100,8 +108,9 @@ def run_pipeline(
     _check_stage("clean3", arr4)
     stages.append(("clean3", arr4, rep4))
 
-    sub, _ = induced(g, leftover)
-    leftover_core_free = find_core(sub, p.zeta, p.beta, limit=limit) is None
+    leftover_core_free = (
+        find_core(g, p.zeta, p.beta, limit=limit, within=mask_of(leftover)) is None
+    )
 
     shadow = build_shadowing(arr4)
     problems = validate_shadowing(arr4, shadow)

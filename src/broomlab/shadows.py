@@ -21,6 +21,10 @@ from .graphs import (
     check_vertex_set,
     is_stable,
     least_stable_subset,
+    lowest,
+    mask_of,
+    members,
+    neighbors_of,
 )
 from .solvers import InstanceTooLarge, chi_of_set
 from .structures import is_matching_covered
@@ -458,25 +462,21 @@ def privatize(
     if not is_2_cleaned(arr):
         raise ValueError("privatize requires a 2-cleaned array")
     g, p = arr.graph, arr.params
-    z = arr.z_union()
-    y = arr.y_union()
-    b = frozenset(u for u in arr.u if not g.adj[u] & y)
-    for v in sorted(b):
-        if not g.adj[v] & z:
-            raise ValueError(
-                f"corrupt array: U vertex {v} has neighbours in neither Y nor Z"
-            )
-    quota = p.delta * p.tau
-    pc = private_cover(g, z, b, quota)
-    pi = frozenset(v for v in pc.b_prime if g.adj[v] & pc.a_prime)
-    pairs = tuple(
-        (v, min(g.adj[v] & pc.a_prime)) for v in sorted(pi)
-    )
-    new_templates = tuple(
-        Template(
-            core=t.core,
-            h=frozenset((t.h & pc.a_prime) | t.core.vertices()),
+    bits, y = g.bits, arr.y_mask
+    z = arr.h_mask & ~y
+    b = arr.umask & ~neighbors_of(g, y)
+    stray = b & ~neighbors_of(g, z)
+    if stray:
+        raise ValueError(
+            f"corrupt array: U vertex {lowest(stray)} has neighbours in neither Y nor Z"
         )
+    quota = p.delta * p.tau
+    pc = private_cover(g, frozenset(members(z)), frozenset(members(b)), quota)
+    kept = mask_of(pc.a_prime)
+    pi = frozenset(v for v in pc.b_prime if bits[v] & kept)
+    pairs = tuple((v, lowest(bits[v] & kept)) for v in sorted(pi))
+    new_templates = tuple(
+        Template(core=t.core, h=frozenset(members((t.hmask & kept) | t.core.mask)))
         for t in arr.templates
     )
     new_u = (arr.u - pc.b_prime) | pi

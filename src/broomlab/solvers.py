@@ -16,18 +16,35 @@ pick, and the lowest colour free at the picked vertex.  It is an upper
 bound only and is never reported as the chromatic number unless the
 clique bound meets it.
 
+The searches read only a graph's ``n`` and ``bits``, so they run as
+well on a :class:`~broomlab.graphs.SubsetView` of a vertex set as on a
+:class:`~broomlab.graphs.Graph`.
+
 Two helpers serve the rest of the library.  :func:`check_limit` is the
 one place the size cap is resolved (``limit`` or
 ``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
-by a vertex set, refused by size before the subgraph is built.
+by a vertex set.  It refuses by size first, then colours a subset view
+of the host, whose ids keep their order and whose degrees are counted
+inside the set, so the colouring is the one ``induced`` would give.
+Inside a :func:`chi_memo` block (one per pipeline run) it colours each
+vertex set of its graph once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graphs import Graph, induced, neighborhood_closed
+from .graphs import (
+    Graph,
+    check_vertex_set,
+    mask_of,
+    neighborhood_closed,
+    subset_view,
+)
 
 DEFAULT_SOLVER_LIMIT = 64
 
@@ -78,11 +95,22 @@ def check_limit(what: str, size: int, limit: int | None) -> None:
 def _dsatur_ranks(g: Graph) -> tuple[list[int], list[int]]:
     """DSATUR's tie-break as a relabelling: each vertex's rank (degree
     descending, then id) and each rank's neighbour mask over ranks."""
-    rank = sorted(range(g.n), key=lambda u: (-len(g.adj[u]), u))
+    bits = g.bits
+    rank = sorted(range(g.n), key=lambda u: (-bits[u].bit_count(), u))
     where = [0] * g.n
+    to_rank = {}  # vertex bit -> rank bit
     for r, v in enumerate(rank):
         where[v] = r
-    return where, [sum(1 << where[w] for w in g.adj[v]) for v in rank]
+        to_rank[1 << v] = 1 << r
+    rows = []
+    for v in rank:
+        nb, row = bits[v], 0
+        while nb:
+            low = nb & -nb
+            row |= to_rank[low]
+            nb ^= low
+        rows.append(row)
+    return where, rows
 
 
 def greedy_coloring(g: Graph) -> Coloring:
@@ -265,7 +293,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
     check_limit("chromatic_number", g.n, limit)
     if g.n == 0:
         return 0, Coloring((), 0)
-    if g.m == 0:
+    if not any(g.bits):
         return 1, Coloring((0,) * g.n, 1)
     return _chromatic_given_omega(g, clique_number(g, limit=limit)[0])
 
@@ -309,12 +337,35 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
     return best
 
 
+# (graph, chi by vertex mask) while a ``chi_memo`` block runs.
+_CHI_MEMO: ContextVar[tuple[Graph, dict[int, int]] | None] = ContextVar(
+    "chi_memo", default=None
+)
+
+
+@contextmanager
+def chi_memo(g: Graph) -> Iterator[None]:
+    """Inside the block, ``chi_of_set`` colours each vertex set of ``g``
+    once; the memo is dropped when the block exits."""
+    token = _CHI_MEMO.set((g, {}))
+    try:
+        yield
+    finally:
+        _CHI_MEMO.reset(token)
+
+
 def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int:
     """Exact chromatic number of the subgraph induced by ``verts``.
 
     A set above the solver limit is refused as ``chromatic_number``
-    would refuse it, before the subgraph is built.
+    would refuse it, before any work; a vertex outside the graph raises
+    ``ValueError``.
     """
     check_limit("chromatic_number", len(verts), limit)
-    sub, _ = induced(g, verts)
-    return chromatic_number(sub, limit=limit)[0]
+    mask = mask_of(check_vertex_set(g, verts))
+    memo = _CHI_MEMO.get()
+    known = memo[1] if memo is not None and memo[0] is g else {}
+    if mask not in known:
+        view, _ = subset_view(g, mask)
+        known[mask] = chromatic_number(view, limit=limit)[0]
+    return known[mask]

@@ -1,12 +1,17 @@
 """Complete-multipartite cores, dense/mixed vertex classification, and
-matching-covered set machinery, plus the five-condition host checker."""
+matching-covered set machinery, plus the five-condition host checker.
+
+:func:`density_masks` classifies every host vertex against one core at
+once, as two int masks (dense, mixed); the pipeline's loops test those
+masks, and :func:`is_dense_to` and :func:`is_eta_mixed` read one bit.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, check_vertex_set
+from .graphs import Graph, check_vertex_set, mask_of
 from .solvers import (
     check_limit,
     chi_local,
@@ -23,18 +28,19 @@ class CoreWitness:
     """b disjoint stable parts of size a, pairwise completely joined.
 
     Each part is also held as an int mask over vertex ids (``masks``),
-    so a vertex's neighbours in a part are ``g.bits[v] & mask``.
+    so a vertex's neighbours in a part are ``g.bits[v] & mask``, and
+    ``mask`` holds every core vertex.
     """
 
     parts: tuple[frozenset[int], ...]
     _vertices: frozenset[int] = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
-        object.__setattr__(
-            self, "masks", tuple(sum(1 << v for v in p) for p in self.parts)
-        )
+        object.__setattr__(self, "masks", tuple(mask_of(p) for p in self.parts))
+        object.__setattr__(self, "mask", mask_of(self._vertices))
 
     @property
     def a(self) -> int:
@@ -144,9 +150,18 @@ class Params:
 
 
 def find_core(
-    g: Graph, a: int, b: int, limit: int | None = None
+    g: Graph,
+    a: int,
+    b: int,
+    limit: int | None = None,
+    within: int | None = None,
 ) -> CoreWitness | None:
-    """Search for an (a,b)-core, lexicographically least parts first.
+    """Search for an (a,b)-core inside ``within``, an int mask of vertex
+    ids (all of ``g`` when None), lexicographically least parts first.
+
+    The search and its refusal see only that set: the result is the core
+    that ``find_core(induced(g, members(within))[0], a, b, limit)``
+    finds, in host ids.
 
     Parts are built in increasing order of their minimum vertex, and
     inside a part vertices are tried in increasing id.  Candidate sets
@@ -163,8 +178,12 @@ def find_core(
     """
     if a < 1 or b < 1:
         raise ValueError("core dimensions must be positive")
-    check_limit("find_core", g.n, limit)
-    if a * b > g.n:
+    pool = (1 << g.n) - 1 if within is None else within
+    if pool >> g.n:  # also catches a negative mask
+        raise ValueError(f"vertex mask outside 0..{g.n - 1}")
+    size = pool.bit_count()
+    check_limit("find_core", size, limit)
+    if a * b > size:
         return None
 
     bits = g.bits
@@ -207,9 +226,39 @@ def find_core(
             del grow  # break the closure's reference cycle
 
     try:
-        return build_part((1 << g.n) - 1, -1)
+        return build_part(pool, -1)
     finally:
         del build_part
+
+
+def density_masks(
+    g: Graph, core: CoreWitness, alpha: int, eta: int
+) -> tuple[int, int]:
+    """The host vertices dense to the core, and those eta-mixed on it.
+
+    Dense: outside the core, with at least alpha neighbours in every
+    part.  Mixed: every core member, and every outside vertex that is
+    not dense but has at least eta neighbours in some part.  With no
+    parts every outside vertex is (vacuously) dense, so none is mixed.
+
+    Per part, ``at[j]`` is the mask of the vertices with at least j
+    neighbours in it, grown one part member at a time, so a core costs
+    O(|core| * max(alpha, eta)) big-int operations.
+    """
+    bits = g.bits
+    full = (1 << g.n) - 1
+    top = max(alpha, eta, 0)
+    dense, reach = full, 0
+    for part in core.parts:
+        at = [full] + [0] * top
+        for u in part:
+            row = bits[u]
+            for j in range(top, 0, -1):
+                at[j] |= at[j - 1] & row
+        dense &= at[max(alpha, 0)]
+        reach |= at[max(eta, 0)]
+    outside = full & ~core.mask
+    return dense & outside, (reach & ~dense & outside) | core.mask
 
 
 def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:
@@ -217,11 +266,7 @@ def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:
     g.check_vertex(v)
     if v in core.vertices():
         raise ValueError(f"vertex {v} belongs to the core")
-    row = g.bits[v]
-    for mask in core.masks:
-        if (row & mask).bit_count() < alpha:
-            return False
-    return True
+    return bool(density_masks(g, core, alpha, 0)[0] >> v & 1)
 
 
 def is_eta_mixed(
@@ -230,12 +275,7 @@ def is_eta_mixed(
     """Core members count as mixed; outside vertices must be non-dense
     with at least eta neighbours in some part."""
     g.check_vertex(v)
-    if v in core.vertices():
-        return True
-    row = g.bits[v]
-    counts = [(row & mask).bit_count() for mask in core.masks]
-    # With no parts every vertex is (vacuously) dense, so none is mixed.
-    return bool(counts) and min(counts) < alpha and max(counts) >= eta
+    return bool(density_masks(g, core, alpha, eta)[1] >> v & 1)
 
 
 @dataclass(frozen=True)

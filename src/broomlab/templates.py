@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator
 
 from .constants import (
     dense_bound_of,
@@ -27,7 +27,16 @@ from .constants import (
     shadow_chi_bound_of,
     strong_s_of,
 )
-from .graphs import Digraph, Graph, induced, least_stable_subset
+from .graphs import (
+    Digraph,
+    Graph,
+    least_stable_subset,
+    lowest,
+    mask_of,
+    members,
+    neighbors_of,
+    subset_view,
+)
 from .solvers import (
     Coloring,
     InstanceTooLarge,
@@ -37,9 +46,8 @@ from .solvers import (
 from .structures import (
     CoreWitness,
     Params,
+    density_masks,
     find_core,
-    is_dense_to,
-    is_eta_mixed,
     verify_core,
 )
 from .trees import (
@@ -65,20 +73,32 @@ CLEANLINESS_RANK = {
 class Template:
     core: CoreWitness
     h: frozenset[int]
+    hmask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hmask", mask_of(self.h))
 
 
 @dataclass(frozen=True)
 class TemplateArray:
+    """Templates and U.  ``umask``, ``h_mask`` (the union of the H sets)
+    and ``y_mask`` (of the cores) hold the same sets as int masks over
+    vertex ids; ``density`` holds each template's ``density_masks``."""
+
     graph: Graph
     templates: tuple[Template, ...]
     u: frozenset[int]
     params: Params
     cleanliness: str = "raw"
     partial2_degree: int | None = None
+    umask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cleanliness not in CLEANLINESS_RANK:
             raise ValueError(f"unknown cleanliness level {self.cleanliness!r}")
+        object.__setattr__(self, "umask", mask_of(self.u))
+        if (self.umask | self.h_mask) >> self.graph.n:
+            raise ValueError(f"array vertex out of range for n={self.graph.n}")
 
     @property
     def size(self) -> int:
@@ -87,26 +107,38 @@ class TemplateArray:
     def h_sets(self) -> list[frozenset[int]]:
         return [t.h for t in self.templates]
 
-    def y_sets(self) -> list[frozenset[int]]:
-        return [t.core.vertices() for t in self.templates]
+    def h_masks(self) -> list[int]:
+        return [t.hmask for t in self.templates]
+
+    def y_masks(self) -> list[int]:
+        return [t.core.mask for t in self.templates]
+
+    @functools.cached_property
+    def h_mask(self) -> int:
+        return _union(self.h_masks())
+
+    @functools.cached_property
+    def y_mask(self) -> int:
+        return _union(self.y_masks())
+
+    @functools.cached_property
+    def density(self) -> list[tuple[int, int]]:
+        """Per template, the host vertices dense to its core and those
+        mixed on it."""
+        g, p = self.graph, self.params
+        return [density_masks(g, t.core, p.alpha, p.eta) for t in self.templates]
 
     def h_union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for t in self.templates:
-            out |= t.h
-        return out
+        return frozenset(members(self.h_mask))
 
     def y_union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for t in self.templates:
-            out |= t.core.vertices()
-        return out
+        return frozenset(members(self.y_mask))
 
     def z_union(self) -> frozenset[int]:
-        return self.h_union() - self.y_union()
+        return frozenset(members(self.h_mask & ~self.y_mask))
 
     def vertices(self) -> frozenset[int]:
-        return self.h_union() | self.u
+        return frozenset(members(self.h_mask | self.umask))
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,43 +159,43 @@ def validate_template_array(arr: TemplateArray) -> list[str]:
     """All structural invariants; returns human-readable violations."""
     g, p = arr.graph, arr.params
     problems: list[str] = []
+    core_ok = [verify_core(g, t.core, p.zeta, p.beta) for t in arr.templates]
+    mixed = [m for _, m in arr.density]
     for idx, t in enumerate(arr.templates):
-        if not verify_core(g, t.core, p.zeta, p.beta):
+        if not core_ok[idx]:
             problems.append(f"template {idx}: core is not a ({p.zeta},{p.beta})-core")
             continue
-        if not t.core.vertices() <= t.h:
+        if t.core.mask & ~t.hmask:
             problems.append(f"template {idx}: core not contained in H")
-        for v in sorted(t.h):
-            if not is_eta_mixed(g, v, t.core, p.eta, p.alpha):
-                problems.append(f"template {idx}: H vertex {v} not mixed on core")
-    hs = arr.h_sets()
-    ys = arr.y_sets()
+        for v in members(t.hmask & ~mixed[idx]):
+            problems.append(f"template {idx}: H vertex {v} not mixed on core")
+    hs = arr.h_masks()
+    near_y = [neighbors_of(g, y) for y in arr.y_masks()]
     n = arr.size
     for i in range(n):
         for j in range(i + 1, n):
             if hs[i] & hs[j]:
                 problems.append(f"templates {i},{j}: H sets intersect")
-            for u in sorted(hs[i]):
-                if g.adj[u] & ys[j]:
-                    problems.append(
-                        f"edge between H_{i} vertex {u} and core {j}"
-                    )
-                    break
-            for v in sorted(hs[j]):
-                if is_eta_mixed(g, v, arr.templates[i].core, p.eta, p.alpha):
-                    problems.append(
-                        f"H_{j} vertex {v} is mixed on earlier core {i}"
-                    )
-                    break
-    h_all = arr.h_union()
-    for u in sorted(arr.u):
-        if u in h_all:
+            if hs[i] & near_y[j]:
+                u = lowest(hs[i] & near_y[j])
+                problems.append(f"edge between H_{i} vertex {u} and core {j}")
+            if hs[j] & mixed[i]:
+                v = lowest(hs[j] & mixed[i])
+                problems.append(f"H_{j} vertex {v} is mixed on earlier core {i}")
+    h_all = arr.h_mask
+    rest = arr.umask & ~h_all
+    bad = (arr.umask & h_all) | (rest & ~neighbors_of(g, h_all))
+    for m in mixed:
+        bad |= rest & m
+    # Only offending U vertices are walked, lowest first, as before.
+    for u in members(bad):
+        if h_all >> u & 1:
             problems.append(f"U vertex {u} lies in H")
             continue
-        if not g.adj[u] & h_all:
+        if not g.bits[u] & h_all:
             problems.append(f"U vertex {u} has no neighbour in H")
-        for i, t in enumerate(arr.templates):
-            if is_eta_mixed(g, u, t.core, p.eta, p.alpha):
+        for i, m in enumerate(mixed):
+            if m >> u & 1:
                 problems.append(f"U vertex {u} is mixed on core {i}")
     if not cleanliness_holds(arr):
         problems.append(
@@ -176,48 +208,33 @@ def validate_template_array(arr: TemplateArray) -> list[str]:
 # Cleanliness predicates
 
 
-def _dense_outside(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:
-    # Density is defined only for vertices outside the core.
-    if v in core.vertices():
-        return False
-    return is_dense_to(g, v, core, alpha)
+def _union(masks: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, masks, 0)
 
 
 def is_partially_1_cleaned(arr: TemplateArray) -> bool:
-    g, p = arr.graph, arr.params
-    hs, n = arr.h_sets(), arr.size
-    for i in range(n):
-        core = arr.templates[i].core
-        for j in range(n):
-            if i == j:
-                continue
-            if any(_dense_outside(g, v, core, p.alpha) for v in hs[j]):
-                return False
-        for v in arr.u:
-            if _dense_outside(g, v, core, p.alpha):
-                for j in range(n):
-                    if j != i and g.adj[v] & hs[j]:
-                        return False
+    bits, hs = arr.graph.bits, arr.h_masks()
+    for i, (dense, _) in enumerate(arr.density):
+        others = _union(hs[:i] + hs[i + 1 :])
+        if dense & others:
+            return False
+        if any(bits[v] & others for v in members(dense & arr.umask)):
+            return False
     return True
 
 
 def is_1_cleaned(arr: TemplateArray) -> bool:
-    g, p = arr.graph, arr.params
-    verts = arr.vertices()
-    for t in arr.templates:
-        if any(_dense_outside(g, v, t.core, p.alpha) for v in verts):
-            return False
-    return True
+    verts = arr.h_mask | arr.umask
+    return not any(dense & verts for dense, _ in arr.density)
 
 
 def is_partially_2_cleaned(arr: TemplateArray, d: int) -> bool:
     if not is_1_cleaned(arr):
         return False
-    g = arr.graph
-    h_all = arr.h_union()
+    bits, h_all = arr.graph.bits, arr.h_mask
     for t in arr.templates:
-        other = h_all - t.h
-        if any(len(g.adj[v] & other) > d for v in t.h):
+        other = h_all & ~t.hmask
+        if any((bits[v] & other).bit_count() > d for v in members(t.hmask)):
             return False
     return True
 
@@ -230,27 +247,22 @@ def _separated(arr: TemplateArray) -> bool:
     """What 2-cleanliness adds to 1-cleanliness: no edge between the H
     sets of two templates, and each template's Z (H minus core) stable."""
     g = arr.graph
-    hs, n = arr.h_sets(), arr.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if any(g.adj[v] & hs[j] for v in hs[i]):
-                return False
-    for t in arr.templates:
-        z = sorted(t.h - t.core.vertices())
-        for a_idx, va in enumerate(z):
-            for vb in z[a_idx + 1 :]:
-                if vb in g.adj[va]:
-                    return False
+    later = 0
+    for t in reversed(arr.templates):
+        z = t.hmask & ~t.core.mask
+        if later and neighbors_of(g, t.hmask) & later or neighbors_of(g, z) & z:
+            return False
+        later |= t.hmask
     return True
 
 
 def is_3_cleaned(arr: TemplateArray) -> bool:
     if not is_2_cleaned(arr):
         return False
-    g = arr.graph
+    bits = arr.graph.bits
     eps = epsilon_of(arr.params)
-    h_all = arr.h_union()
-    return all(len(g.adj[u] & h_all) < eps for u in arr.u)
+    h_all = arr.h_mask
+    return all((bits[u] & h_all).bit_count() < eps for u in members(arr.umask))
 
 
 def cleanliness_holds(arr: TemplateArray) -> bool:
@@ -364,41 +376,30 @@ def extract_template_array(
         raise ValueError("eta must be at least 1")
     if p.zeta < max(p.eta, p.alpha):
         raise ValueError("zeta must be at least max(eta, alpha)")
+    full = (1 << g.n) - 1
     templates: list[Template] = []
-    h_all: set[int] = set()
+    h_all = claimed = 0
     while True:
-        claimed = set(h_all)
-        for v in h_all:
-            claimed |= g.adj[v]
-        unclaimed = sorted(set(range(g.n)) - claimed)
-        if len(unclaimed) < p.zeta * p.beta:
+        unclaimed = full & ~claimed
+        if unclaimed.bit_count() < p.zeta * p.beta:
             break
-        sub, back = induced(g, unclaimed)
-        local = find_core(sub, p.zeta, p.beta, limit=limit)
-        if local is None:
+        core = find_core(g, p.zeta, p.beta, limit=limit, within=unclaimed)
+        if core is None:
             break
-        core = CoreWitness(
-            tuple(frozenset(back[v] for v in part) for part in local.parts)
-        )
-        h_new = frozenset(
-            v for v in range(g.n) if is_eta_mixed(g, v, core, p.eta, p.alpha)
-        )
+        h_new = density_masks(g, core, p.alpha, p.eta)[1]
         if h_new & h_all:
             raise AssertionError("new template H intersects earlier H")
-        templates.append(Template(core=core, h=h_new))
+        templates.append(Template(core=core, h=frozenset(members(h_new))))
         h_all |= h_new
-    u = frozenset(
-        v for v in range(g.n) if v not in h_all and g.adj[v] & h_all
-    )
+        claimed = h_all | neighbors_of(g, h_all)
     arr = TemplateArray(
         graph=g,
         templates=tuple(templates),
-        u=u,
+        u=frozenset(members(claimed & ~h_all)),
         params=p,
         cleanliness="raw",
     )
-    leftover = frozenset(range(g.n)) - arr.vertices()
-    return arr, leftover
+    return arr, frozenset(members(full & ~claimed))
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +417,14 @@ def _most_chromatic(
 def _subarray(
     arr: TemplateArray,
     keep: list[int],
-    u: frozenset[int],
+    umask: int,
     cleanliness: str,
     partial2_degree: int | None = None,
 ) -> TemplateArray:
     return TemplateArray(
         graph=arr.graph,
         templates=tuple(arr.templates[i] for i in keep),
-        u=u,
+        u=frozenset(members(umask)),
         params=arr.params,
         cleanliness=cleanliness,
         partial2_degree=partial2_degree,
@@ -454,59 +455,54 @@ def clean1(
     if report["identity"]:
         return replace(arr, cleanliness="clean1", partial2_degree=None), report
     n = arr.size
-    hs = arr.h_sets()
-    cores = [t.core for t in arr.templates]
+    bits, hs = g.bits, arr.h_masks()
+    dense = [d for d, _ in arr.density]
 
-    assign: dict[int, int] = {}
-    for u in sorted(arr.u):
-        touching = [i for i in range(n) if g.adj[u] & hs[i]]
-        good = [
-            i for i in touching if not _dense_outside(g, u, cores[i], p.alpha)
-        ]
-        assign[u] = min(good) if good else min(touching)
-    buckets: list[set[int]] = [set() for _ in range(n)]
-    for u, i in assign.items():
-        buckets[i].add(u)
+    # Each U vertex joins the first template it touches and is not dense
+    # to, or else the first it touches.
+    buckets = [0] * n
+    for u in members(arr.umask):
+        touching = [i for i in range(n) if bits[u] & hs[i]]
+        good = [i for i in touching if not dense[i] >> u & 1]
+        buckets[min(good or touching)] |= 1 << u
 
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pool = hs[j] | buckets[j]
-            if any(_dense_outside(g, v, cores[i], p.alpha) for v in pool):
-                arcs.append((i, j))
+    arcs = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and dense[i] & (hs[j] | buckets[j])
+    ]
     dgraph = Digraph(n, arcs)
     coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
 
-    cands = []
-    for c in range(coloring.palette_size):
-        keep = [i for i in range(n) if coloring.colors[i] == c]
-        u_c = frozenset().union(*(buckets[i] for i in keep)) if keep else frozenset()
-        cands.append(_subarray(arr, keep, u_c, "partial1"))
+    keeps = [
+        [i for i in range(n) if coloring.colors[i] == c]
+        for c in range(coloring.palette_size)
+    ]
+    cands = [
+        _subarray(arr, keep, _union(buckets[i] for i in keep), "partial1")
+        for keep in keeps
+    ]
     class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
     report["class_chis"] = class_chis
     report["chosen_class"] = chosen
     partial = cands[chosen]
 
-    dense_left = set()
-    for t in partial.templates:
-        for v in sorted(partial.vertices()):
-            if _dense_outside(g, v, t.core, p.alpha):
-                dense_left.add(v)
-    if not dense_left <= partial.u:
+    dense_left = _union(dense[i] for i in keeps[chosen]) & (
+        partial.h_mask | partial.umask
+    )
+    if dense_left & ~partial.umask:
         raise AssertionError("dense vertex survived outside U after partial pass")
-    u_final = partial.u - dense_left
     out = TemplateArray(
         graph=g,
         templates=partial.templates,
-        u=u_final,
+        u=frozenset(members(partial.umask & ~dense_left)),
         params=p,
         cleanliness="clean1",
     )
-    report["removed_dense"] = sorted(dense_left)
+    report["removed_dense"] = members(dense_left)
     report["chi_removed"] = (
-        chi_of_set(g, frozenset(dense_left), limit) if dense_left else 0
+        chi_of_set(g, frozenset(report["removed_dense"]), limit) if dense_left else 0
     )
     if not is_1_cleaned(out):
         raise AssertionError("clean1 output fails its predicate")
@@ -538,27 +534,28 @@ def clean2(
     if report["identity"]:
         return replace(arr, cleanliness="clean2", partial2_degree=None), report
     n = arr.size
-    hs = arr.h_sets()
+    bits, hs = g.bits, arr.h_masks()
+    h_ids = [members(h) for h in hs]
+    u_ids = members(arr.umask)
 
-    arcs = []
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            if any(len(g.adj[v] & hs[i]) >= p.delta for v in hs[j]):
-                arcs.append((j, i))
+    arcs = [
+        (j, i)
+        for j in range(n)
+        for i in range(n)
+        if i != j and any((bits[v] & hs[i]).bit_count() >= p.delta for v in h_ids[j])
+    ]
     dgraph = Digraph(n, arcs)
     coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
 
     cands = []
     for c in range(coloring.palette_size):
         keep = [i for i in range(n) if coloring.colors[i] == c]
-        h_keep = frozenset().union(*(hs[i] for i in keep)) if keep else frozenset()
-        u_c = frozenset(u for u in arr.u if g.adj[u] & h_keep)
-        d_obs = 0
-        for i in keep:
-            for v in arr.templates[i].h:
-                d_obs = max(d_obs, len(g.adj[v] & (h_keep - hs[i])))
+        h_keep = _union(hs[i] for i in keep)
+        u_c = _union(1 << u for u in u_ids if bits[u] & h_keep)
+        d_obs = max(
+            ((bits[v] & h_keep & ~hs[i]).bit_count() for i in keep for v in h_ids[i]),
+            default=0,
+        )
         cands.append(_subarray(arr, keep, u_c, "partial2", partial2_degree=d_obs))
     class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
     partial = cands[chosen]
@@ -570,47 +567,32 @@ def clean2(
 
     # Z vertices with a neighbour in another surviving core would leak
     # a cross-template edge past any stable split; drop them first.
-    y_other: list[frozenset[int]] = []
-    m = partial.size
-    ys = partial.y_sets()
-    for i in range(m):
-        other: frozenset[int] = frozenset()
-        for j in range(m):
-            if j != i:
-                other |= ys[j]
-        y_other.append(other)
+    ys = partial.y_masks()
     dropped: list[int] = []
-    filtered_h: list[frozenset[int]] = []
+    filtered_h: list[int] = []
     for i, t in enumerate(partial.templates):
-        keep_h = set(t.core.vertices())
-        for z in sorted(t.h - t.core.vertices()):
-            if g.adj[z] & y_other[i]:
-                dropped.append(z)
-            else:
-                keep_h.add(z)
-        filtered_h.append(frozenset(keep_h))
+        y_other = _union(ys[:i] + ys[i + 1 :])
+        cut = [z for z in members(t.hmask & ~ys[i]) if bits[z] & y_other]
+        dropped += cut
+        filtered_h.append((t.hmask | ys[i]) & ~mask_of(cut))
     report["dropped_cross_core"] = dropped
 
-    h_all = frozenset().union(*filtered_h) if filtered_h else frozenset()
-    sub, back = induced(g, h_all)
-    split = greedy_coloring(sub)
-    w_classes: list[set[int]] = [set() for _ in range(split.palette_size)]
-    for local, color in enumerate(split.colors):
-        w_classes[color].add(back[local])
+    view, ids = subset_view(g, _union(filtered_h))
+    split = greedy_coloring(view)
+    w_classes = [0] * split.palette_size
+    for v, color in zip(ids, split.colors):
+        w_classes[color] |= 1 << v
 
     cands = []
+    u_ids = members(partial.umask)
     for w in w_classes:
+        hs_new = [(h & w) | y for h, y in zip(filtered_h, ys)]
         new_templates = tuple(
-            Template(
-                core=partial.templates[i].core,
-                h=frozenset(
-                    (filtered_h[i] & w) | partial.templates[i].core.vertices()
-                ),
-            )
-            for i in range(m)
+            Template(core=t.core, h=frozenset(members(h)))
+            for t, h in zip(partial.templates, hs_new)
         )
-        h_new = frozenset().union(*(t.h for t in new_templates)) if new_templates else frozenset()
-        u_new = frozenset(u for u in partial.u if g.adj[u] & h_new)
+        h_new = _union(hs_new)
+        u_new = frozenset(u for u in u_ids if bits[u] & h_new)
         cands.append(TemplateArray(
             graph=g,
             templates=new_templates,
@@ -639,8 +621,10 @@ def clean3(
     if not is_2_cleaned(arr):
         raise ValueError("clean3 requires a 2-cleaned array")
     eps = epsilon_of(p)
-    h_all = arr.h_union()
-    removed = frozenset(u for u in arr.u if len(g.adj[u] & h_all) >= eps)
+    h_all = arr.h_mask
+    removed = frozenset(
+        u for u in members(arr.umask) if (g.bits[u] & h_all).bit_count() >= eps
+    )
     out = TemplateArray(
         graph=g,
         templates=arr.templates,
@@ -739,15 +723,15 @@ Counts = Iterator[tuple[int, tuple[int, ...]]]
 
 
 def _contacts(
-    sets_of: Callable[[TemplateArray], list[frozenset[int]]],
+    masks_of: Callable[[TemplateArray], list[int]],
 ) -> Callable[[TemplateArray], Counts]:
     """A counter of the sets (the cores or the H sets) each array vertex
     touches."""
 
     def counts(arr: TemplateArray) -> Counts:
-        g, sets = arr.graph, sets_of(arr)
-        for v in sorted(arr.vertices()):
-            yield v, tuple(i for i, s in enumerate(sets) if g.adj[v] & s)
+        near = [neighbors_of(arr.graph, m) for m in masks_of(arr)]
+        for v in members(arr.h_mask | arr.umask):
+            yield v, tuple(i for i, m in enumerate(near) if m >> v & 1)
 
     return counts
 
@@ -755,32 +739,29 @@ def _contacts(
 def _strong_contacts(arr: TemplateArray) -> Counts:
     """Per template, the templates that one of its H vertices sees at
     least delta times."""
-    g, hs, delta = arr.graph, arr.h_sets(), arr.params.delta
+    bits, hs, delta = arr.graph.bits, arr.h_masks(), arr.params.delta
     for j, hj in enumerate(hs):
+        h_ids = members(hj)
         yield j, tuple(
             i
             for i, h in enumerate(hs)
-            if any(len(g.adj[v] & h) >= delta for v in hj)
+            if any((bits[v] & h).bit_count() >= delta for v in h_ids)
         )
 
 
 def _dense_count(arr: TemplateArray) -> Counts:
     """Per template, the host vertices dense to its core."""
-    g, alpha = arr.graph, arr.params.alpha
-    for i, t in enumerate(arr.templates):
-        yield i, tuple(
-            v for v in range(g.n) if _dense_outside(g, v, t.core, alpha)
-        )
+    for i, (dense, _) in enumerate(arr.density):
+        yield i, tuple(members(dense))
 
 
 def _nested_indices(arr: TemplateArray) -> Counts:
     """Per U vertex, the templates its U neighbours touch."""
-    g, hs = arr.graph, arr.h_sets()
-    for v in sorted(arr.u):
-        near = g.adj[v] & arr.u
-        yield v, tuple(
-            i for i, h in enumerate(hs) if any(g.adj[w] & h for w in near)
-        )
+    g, u = arr.graph, arr.umask
+    near = [neighbors_of(g, h) for h in arr.h_masks()]
+    for v in members(u):
+        around = g.bits[v] & u
+        yield v, tuple(i for i, m in enumerate(near) if m & around)
 
 
 _TEMPLATE_SIDE = (
@@ -793,9 +774,9 @@ COUNTER_RULES = (
     ("core_contacts", "clean1",
      lambda p: p.zeta >= max(p.eta + p.delta, p.alpha),
      "needs zeta >= max(eta + delta, alpha)",
-     _contacts(TemplateArray.y_sets), lambda p: 2 * p.delta, operator.gt),
+     _contacts(TemplateArray.y_masks), lambda p: 2 * p.delta, operator.gt),
     ("template_contacts", "clean1", *_TEMPLATE_SIDE,
-     _contacts(TemplateArray.h_sets), gamma_of, operator.ge),
+     _contacts(TemplateArray.h_masks), gamma_of, operator.ge),
     ("strong_contacts", "clean1", *_TEMPLATE_SIDE,
      _strong_contacts, strong_s_of, operator.gt),
     ("dense_count", None, None, "",

@@ -229,8 +229,8 @@ def test_chi_of_set_refuses_above_the_limit(monkeypatch):
     g = Graph(70, [(i, i + 1) for i in range(69)])
     assert chi_of_set(g, frozenset(range(64))) == 2
     assert chi_of_set(g, frozenset(range(5)), limit=5) == 2
-    # The refusal comes before the subgraph is built.
-    monkeypatch.setattr("broomlab.solvers.induced", None)
+    # The refusal comes before the subset view is built.
+    monkeypatch.setattr("broomlab.solvers.subset_view", None)
     for verts, limit, cap in ((range(65), None, 64), (range(6), 5, 5)):
         with pytest.raises(InstanceTooLarge) as info:
             chi_of_set(g, frozenset(verts), limit=limit)
