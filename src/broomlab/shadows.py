@@ -116,12 +116,11 @@ def shadowing_degree(
     """Maximum number of blocks (restricted to x) any array vertex
     touches, with the lowest vertex attaining it."""
     g = arr.graph
-    xs = arr.u if x is None else check_vertex_set(g, x)
+    xs = arr.umask if x is None else mask_of(check_vertex_set(g, x))
+    near = [neighbors_of(g, mask_of(b) & xs) for b in s.blocks]
     best, argmax = 0, None
-    for v in sorted(arr.vertices()):
-        count = sum(
-            1 for b in s.blocks if g.adj[v] & (b & xs)
-        )
+    for v in members(arr.h_mask | arr.umask):
+        count = sum(m >> v & 1 for m in near)
         if count > best:
             best, argmax = count, v
     return best, argmax
@@ -344,41 +343,42 @@ def private_cover(
     vertex keeps at most one cover neighbour, and every cover vertex
     owns exactly d peeled clients.
     """
-    a = check_vertex_set(g, a)
-    b = check_vertex_set(g, b)
-    if a & b:
+    bits = g.bits
+    a_mask = mask_of(check_vertex_set(g, a))
+    b_mask = mask_of(check_vertex_set(g, b))
+    if a_mask & b_mask:
         raise ValueError("cover and covered sets must be disjoint")
     if d < 0:
         raise ValueError("layer count must be nonnegative")
-    for v in sorted(b):
-        if not g.adj[v] & a:
+    for v in members(b_mask):
+        if not bits[v] & a_mask:
             raise ValueError(f"vertex {v} is not covered")
 
-    a_prime = set(a)
-    b_prime: set[int] = set()
+    kept, peeled = a_mask, 0
     layers: list[frozenset[int]] = []
     for _ in range(d):
-        remaining = b - b_prime
+        remaining = b_mask & ~peeled
+        clients = members(remaining)
         # Greedy minimization: drop cover vertices in increasing order
         # whenever the rest still covers the remaining clients.
-        for u in sorted(a_prime):
-            trial = a_prime - {u}
-            if all(g.adj[v] & trial for v in remaining):
-                a_prime.discard(u)
-        layer = set()
-        for u in sorted(a_prime):
-            private = sorted(
+        for u in members(kept):
+            trial = kept & ~(1 << u)
+            if all(bits[v] & trial for v in clients):
+                kept = trial
+        layer = 0
+        for u in members(kept):
+            private = [
                 v
-                for v in g.adj[u] & remaining
-                if len(g.adj[v] & a_prime) == 1
-            )
+                for v in members(bits[u] & remaining)
+                if (bits[v] & kept).bit_count() == 1
+            ]
             # Minimality guarantees at least one private client.
-            layer.add(private[0])
-        layers.append(frozenset(layer))
-        b_prime |= layer
+            layer |= 1 << private[0]
+        layers.append(frozenset(members(layer)))
+        peeled |= layer
     return PrivateCover(
-        a_prime=frozenset(a_prime),
-        b_prime=frozenset(b_prime),
+        a_prime=frozenset(members(kept)),
+        b_prime=frozenset(members(peeled)),
         decomposition=tuple(layers),
     )
 
@@ -427,25 +427,24 @@ class Privatization:
 
 
 def validate_privatization(arr: TemplateArray, p: Privatization) -> list[str]:
-    g = arr.graph
-    z = arr.z_union()
-    y = arr.y_union()
+    bits, y = arr.graph.bits, arr.y_mask
+    z = arr.h_mask & ~y
+    pi = mask_of(p.pi)
     problems = []
     nm = dict(p.private_neighbor)
     for v in sorted(p.pi):
-        zn = g.adj[v] & z
-        if len(zn) != 1:
-            problems.append(f"pi vertex {v} has {len(zn)} Z neighbours")
-        elif nm.get(v) not in zn:
+        zn = bits[v] & z
+        if zn.bit_count() != 1:
+            problems.append(f"pi vertex {v} has {zn.bit_count()} Z neighbours")
+        elif lowest(zn) != nm.get(v):
             problems.append(f"pi vertex {v} maps to a non-neighbour")
-        if g.adj[v] & y:
+        if bits[v] & y:
             problems.append(f"pi vertex {v} touches a core")
     quota = arr.params.delta * arr.params.tau
-    for u in sorted(z):
-        if len(g.adj[u] & p.pi) != quota:
-            problems.append(
-                f"Z vertex {u} has {len(g.adj[u] & p.pi)} != {quota} pi neighbours"
-            )
+    for u in members(z):
+        count = (bits[u] & pi).bit_count()
+        if count != quota:
+            problems.append(f"Z vertex {u} has {count} != {quota} pi neighbours")
     return problems
 
 

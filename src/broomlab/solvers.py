@@ -96,7 +96,8 @@ def _dsatur_ranks(g: Graph) -> tuple[list[int], list[int]]:
     """DSATUR's tie-break as a relabelling: each vertex's rank (degree
     descending, then id) and each rank's neighbour mask over ranks."""
     bits = g.bits
-    rank = sorted(range(g.n), key=lambda u: (-bits[u].bit_count(), u))
+    # sorted is stable, so equal degrees stay in increasing id order.
+    rank = sorted(range(g.n), key=lambda u: -bits[u].bit_count())
     where = [0] * g.n
     to_rank = {}  # vertex bit -> rank bit
     for r, v in enumerate(rank):

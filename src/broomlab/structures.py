@@ -36,6 +36,10 @@ class CoreWitness:
     _vertices: frozenset[int] = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
+    # density_masks results by (id(graph), alpha, eta), with the graph.
+    _density: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
@@ -57,7 +61,8 @@ class CoreWitness:
 def verify_core(g: Graph, core: CoreWitness, a: int, b: int) -> bool:
     if core.b != b or any(len(p) != a for p in core.parts):
         return False
-    check_vertex_set(g, core.vertices())
+    if core.mask >> g.n:
+        check_vertex_set(g, core.vertices())  # names the first id past n
     bits = g.bits
     seen = 0
     for p, mask in zip(core.parts, core.masks):
@@ -243,8 +248,12 @@ def density_masks(
 
     Per part, ``at[j]`` is the mask of the vertices with at least j
     neighbours in it, grown one part member at a time, so a core costs
-    O(|core| * max(alpha, eta)) big-int operations.
+    O(|core| * max(alpha, eta)) big-int operations.  The core keeps the
+    result for the graph, which every array built on the core reuses.
     """
+    known = core._density.get((id(g), alpha, eta))
+    if known is not None and known[0] is g:
+        return known[1]
     bits = g.bits
     full = (1 << g.n) - 1
     top = max(alpha, eta, 0)
@@ -258,7 +267,9 @@ def density_masks(
         dense &= at[max(alpha, 0)]
         reach |= at[max(eta, 0)]
     outside = full & ~core.mask
-    return dense & outside, (reach & ~dense & outside) | core.mask
+    out = dense & outside, (reach & ~dense & outside) | core.mask
+    core._density[id(g), alpha, eta] = (g, out)
+    return out
 
 
 def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:

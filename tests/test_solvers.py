@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from broomlab import solvers
 from broomlab.generators import cycle, erdos_renyi
-from broomlab.graphs import Graph, induced
+from broomlab.graphs import Graph, induced, mask_of, neighborhood_closed, subset_view
 from broomlab.oracles import chromatic_number_oracle, clique_number_oracle
 from broomlab.solvers import (
     Coloring,
     InstanceTooLarge,
     _k_colorable,
     chi_local,
+    chi_memo,
     chi_of_set,
     chromatic_number,
     clique_number,
@@ -236,3 +238,105 @@ def test_chi_of_set_refuses_above_the_limit(monkeypatch):
             chi_of_set(g, frozenset(verts), limit=limit)
         assert (info.value.what, info.value.size, info.value.limit) == (
             "chromatic_number", cap + 1, cap)
+
+
+def test_chi_of_set_matches_induced_subgraph():
+    # The subset view gives the chromatic number of the induced subgraph,
+    # on empty, singleton, edgeless and random vertex sets.
+    rng = random.Random(41)
+    kinds = set()
+    for trial in range(330):
+        g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.05, 0.9))
+        kind = trial % 4
+        if kind == 0:
+            verts = frozenset()
+        elif kind == 1:
+            verts = frozenset({rng.randrange(g.n)})
+        elif kind == 2:  # a greedy stable set
+            picked = set()
+            for v in rng.sample(range(g.n), g.n):
+                if not g.adj[v] & picked:
+                    picked.add(v)
+            verts = frozenset(picked)
+        else:
+            verts = frozenset(v for v in range(g.n) if rng.random() < 0.6)
+        want = chromatic_number(induced(g, verts)[0])[0]
+        assert chi_of_set(g, verts) == want, (g.sorted_edges(), sorted(verts))
+        kinds.add((kind, min(want, 2)))
+    assert {(0, 0), (1, 1), (2, 1), (3, 2)} <= kinds
+    g = cycle(5)
+    for bad in ({0, 5}, {-1}):
+        with pytest.raises(ValueError, match="out of range for n=5"):
+            chi_of_set(g, frozenset(bad))
+    with pytest.raises(InstanceTooLarge) as info:
+        chi_of_set(g, frozenset(range(5)), limit=4)
+    assert str(info.value) == "chromatic_number: size 5 exceeds solver limit 4"
+
+
+def test_view_colouring_matches_induced_subgraph():
+    # clean2's stable split: greedy colouring of a subset view is the one
+    # of the induced subgraph, so ranks use the degrees inside the set.
+    rng = random.Random(43)
+    differ = 0
+    for _ in range(320):
+        g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.7))
+        verts = [v for v in range(g.n) if rng.random() < 0.5]
+        view, ids = subset_view(g, mask_of(verts))
+        sub, back = induced(g, verts)
+        assert ids == list(back) and view.bits == sub.bits
+        assert greedy_coloring(view).colors == greedy_coloring(sub).colors
+        host_rank = sorted(verts, key=lambda u: (-len(g.adj[u]), u))
+        differ += host_rank != sorted(verts, key=lambda u: (-len(g.adj[u] & set(verts)), u))
+    assert differ > 100  # host degrees would often rank differently
+
+
+def _count_chromatic(monkeypatch) -> list[int]:
+    calls = [0]
+    original = solvers.chromatic_number
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "chromatic_number", counted)
+    return calls
+
+
+def test_chi_memo_lives_for_one_block(monkeypatch):
+    calls = _count_chromatic(monkeypatch)
+    g = cycle(7)
+    s = frozenset({0, 1, 2, 4})
+    with chi_memo(g):
+        assert [chi_of_set(g, s) for _ in range(3)] == [2, 2, 2]
+        assert calls[0] == 1
+        chi_of_set(cycle(9), s)  # another graph is not served from the memo
+        assert calls[0] == 2
+    with chi_memo(g):
+        chi_of_set(g, s)
+    chi_of_set(g, s)
+    chi_of_set(g, s)
+    assert calls[0] == 5
+
+
+def test_pipeline_runs_do_not_share_a_memo(monkeypatch):
+    from broomlab.pipeline import run_pipeline
+    from broomlab.structures import Params
+    from broomlab.suites import _pipeline_instances
+
+    calls = _count_chromatic(monkeypatch)
+    p = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+    for _, g in _pipeline_instances(20, 11)[12:]:
+        counts = []
+        for _ in range(2):
+            calls[0] = 0
+            run_pipeline(g, p)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
+    # chi_local runs outside any pipeline: one colouring per distinct ball,
+    # on every call.
+    g = erdos_renyi(30, 0.1, 5)
+    balls = {neighborhood_closed(g, v, 2) for v in range(g.n)}
+    for _ in range(2):
+        calls[0] = 0
+        chi_local(g, 2)
+        assert calls[0] == len(balls)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from broomlab.generators import erdos_renyi, plant_core
-from broomlab.graphs import Graph
+from broomlab.graphs import Graph, induced, mask_of, members
 from broomlab.oracles import find_core_oracle
 from broomlab.solvers import InstanceTooLarge
 from broomlab.structures import (
@@ -11,6 +11,7 @@ from broomlab.structures import (
     Params,
     ThetaTable,
     check_conditions,
+    density_masks,
     find_core,
     is_dense_to,
     is_eta_mixed,
@@ -176,26 +177,70 @@ def _random_witness(rng, g):
 def test_density_and_core_checks_match_set_reference():
     rng = random.Random(31)
     verdicts = set()
+    part_counts = set()
     for _ in range(300):
         n = rng.randint(1, 14)
         g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32))
         core = _random_witness(rng, g)
+        part_counts.add(core.b)
         for a in {core.a, 1, 2}:
             for b in {core.b, 2, 3}:
                 got = verify_core(g, core, a, b)
                 assert got == _verify_ref(g, core, a, b), (g.sorted_edges(), core, a, b)
                 verdicts.add(("core", got))
-        for v in range(n):
-            for alpha in (1, 2):
-                for eta in (1, 2):
-                    got = is_eta_mixed(g, v, core, eta, alpha)
-                    assert got == _mixed_ref(g, v, core, eta, alpha)
-                    verdicts.add(("mixed", got))
-                if v not in core.vertices():
-                    got = is_dense_to(g, v, core, alpha)
-                    assert got == _dense_ref(g, v, core, alpha)
-                    verdicts.add(("dense", got))
-    assert verdicts == {(k, x) for k in ("core", "mixed", "dense") for x in (True, False)}
+        for alpha in (1, 2, 3):
+            for eta in (1, 2, 3):
+                dense, mixed = density_masks(g, core, alpha, eta)
+                for v in range(n):
+                    inside = v in core.vertices()
+                    want = not inside and _dense_ref(g, v, core, alpha)
+                    assert bool(dense >> v & 1) == want, (g.sorted_edges(), core, v)
+                    want = _mixed_ref(g, v, core, eta, alpha)
+                    assert bool(mixed >> v & 1) == want, (g.sorted_edges(), core, v)
+                    assert is_eta_mixed(g, v, core, eta, alpha) == want
+                    verdicts.add(("mixed", inside, want))
+                    if not inside:
+                        got = is_dense_to(g, v, core, alpha)
+                        assert got == _dense_ref(g, v, core, alpha)
+                        verdicts.add(("dense", got))
+                assert not (dense | mixed) >> n  # no bits past the graph
+    assert part_counts == {0, 1, 2, 3}
+    assert verdicts == {
+        ("core", True), ("core", False), ("dense", True), ("dense", False),
+        ("mixed", True, True), ("mixed", False, True), ("mixed", False, False),
+    }
+
+
+def test_find_core_within_a_set_matches_induced():
+    # Searching inside a vertex set finds the core the induced subgraph
+    # gives, in host ids, and refuses by the size of the set.
+    rng = random.Random(5)
+    found = 0
+    for _ in range(320):
+        n = rng.randint(1, 16)
+        g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.7, 0.85)), rng.getrandbits(32))
+        verts = [v for v in range(n) if rng.random() < 0.7]
+        sub, back = induced(g, verts)
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        local = find_core(sub, a, b)
+        want = tuple(frozenset(back[v] for v in p) for p in local.parts) if local else None
+        core = find_core(g, a, b, within=mask_of(verts))
+        assert (core.parts if core else None) == want, (g.sorted_edges(), verts, a, b)
+        found += core is not None
+    assert 50 < found < 270
+    g = erdos_renyi(20, 0.5, 3)
+    for limit in (4, 9):
+        verts = rng.sample(range(20), limit + 1)
+        with pytest.raises(InstanceTooLarge) as mine:
+            find_core(g, 2, 2, limit=limit, within=mask_of(verts))
+        with pytest.raises(InstanceTooLarge) as ref:
+            find_core(induced(g, verts)[0], 2, 2, limit=limit)
+        assert str(mine.value) == str(ref.value) == (
+            f"find_core: size {limit + 1} exceeds solver limit {limit}")
+    with pytest.raises(ValueError):
+        find_core(g, 2, 2, within=1 << 20)
+    assert find_core(g, 1, 1, within=0) is None
+    assert members(find_core(g, 1, 1, within=1 << 7).mask) == [7]
 
 
 def test_density_with_no_parts(c4):
