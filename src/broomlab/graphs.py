@@ -15,11 +15,10 @@ MAX_VERTICES = 4096
 class Graph:
     """Undirected simple graph over ids 0..n-1, no self-loops.
 
-    ``bits[v]`` is v's neighbourhood as an int mask (bit w set when w is
-    adjacent to v).  The solvers, the core search and the pipeline read
-    only ``n`` and ``bits``.  ``adj`` holds the same neighbourhoods as
-    frozensets for the code that walks sets: the oracles, the tree
-    search and the generators.
+    ``bits[v]`` is v's neighbourhood as an int mask; the solvers, the
+    core search and the pipeline read only ``n`` and ``bits``.  ``adj``
+    holds the same neighbourhoods as frozensets for the code that walks
+    sets: the oracles, the tree search and the generators.
     """
 
     __slots__ = ("n", "adj", "bits", "_hash")
@@ -28,6 +27,7 @@ class Graph:
         if not (0 <= n <= MAX_VERTICES):
             raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         adj: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -35,11 +35,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.n = n
+        self.bits: tuple[int, ...] = tuple(bits)
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.bits: tuple[int, ...] = tuple(
-            sum(1 << w for w in s) for s in self.adj
-        )
         self._hash = hash((n, self.adj))
 
     @property
@@ -47,13 +47,11 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Each edge once as (u, v) with u < v, in increasing order."""
+        return ((u, v) for u in range(self.n) for v in members(self.bits[u] >> u << u))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges())
+        return list(self.edges())
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -188,46 +186,39 @@ def neighbors_of(g: Graph, mask: int) -> int:
     return out
 
 
-class SubsetView(NamedTuple):
-    """The subgraph induced by a vertex set, as the solvers read it: its
-    members renumbered 0..n-1 in increasing host id, and each member's
-    neighbours inside the set as a mask over those numbers."""
+def remap(mask: int, to: dict[int, int]) -> int:
+    """``mask`` with each set bit b replaced by the bits ``to[b]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= to[low]
+        mask ^= low
+    return out
 
-    n: int
-    bits: tuple[int, ...]
+
+SubsetView = NamedTuple("SubsetView", [("n", int), ("bits", tuple[int, ...])])
 
 
 def subset_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
-    """The view of the members of ``mask``, and the host id of each
-    number.  Ids keep their order, as in :func:`induced`."""
+    """The subgraph induced by the members of ``mask``, as the solvers
+    read it, and the host id of each of its vertices.  Members are
+    renumbered 0..n-1 in increasing host id, as in :func:`induced`, and
+    ``bits`` holds their neighbours inside the set."""
     bits = g.bits
     ids = members(mask)
     pos = {1 << v: 1 << i for i, v in enumerate(ids)}  # host bit -> view bit
-    rows = []
-    for v in ids:
-        nb = bits[v] & mask
-        row = 0
-        while nb:
-            low = nb & -nb
-            row |= pos[low]
-            nb ^= low
-        rows.append(row)
-    return SubsetView(len(ids), tuple(rows)), ids
+    return SubsetView(len(ids), tuple(remap(bits[v] & mask, pos) for v in ids)), ids
 
 
-def _bfs_levels(g: Graph, v: int, k: int) -> tuple[set[int], set[int]]:
-    """Breadth-first search from v up to depth k: the last level reached
-    (distance exactly k, or empty) and every vertex seen."""
+def _bfs_levels(g: Graph, v: int, k: int) -> tuple[int, int]:
+    """Breadth-first search from v up to depth k, as masks: the last
+    level reached (distance exactly k, or empty) and every vertex seen."""
     g.check_vertex(v)
     if k < 0:
         raise ValueError("distance must be nonnegative")
-    level = {v}
-    seen = {v}
+    level = seen = 1 << v
     for _ in range(k):
-        nxt: set[int] = set()
-        for u in level:
-            nxt |= g.adj[u]
-        level = nxt - seen
+        level = neighbors_of(g, level) & ~seen
         seen |= level
         if not level:
             break
@@ -236,12 +227,12 @@ def _bfs_levels(g: Graph, v: int, k: int) -> tuple[set[int], set[int]]:
 
 def neighborhood_exact(g: Graph, v: int, k: int) -> frozenset[int]:
     """Vertices at distance exactly k from v; k=0 gives {v}."""
-    return frozenset(_bfs_levels(g, v, k)[0])
+    return frozenset(members(_bfs_levels(g, v, k)[0]))
 
 
 def neighborhood_closed(g: Graph, v: int, k: int) -> frozenset[int]:
     """Vertices at distance at most k from v."""
-    return frozenset(_bfs_levels(g, v, k)[1])
+    return frozenset(members(_bfs_levels(g, v, k)[1]))
 
 
 def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -250,25 +241,15 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     The map is a tuple ``old_ids`` where new vertex i corresponds to host
     vertex ``old_ids[i]``; ids stay in increasing order.
     """
-    members = sorted(check_vertex_set(g, s))
-    index = {v: i for i, v in enumerate(members)}
-    edges = [
-        (index[u], index[v])
-        for u in members
-        for v in g.adj[u]
-        if v in index and u < v
-    ]
-    return Graph(len(members), edges), tuple(members)
+    view, ids = subset_view(g, mask_of(check_vertex_set(g, s)))
+    edges = [(i, j) for i, row in enumerate(view.bits) for j in members(row) if i < j]
+    return Graph(view.n, edges), tuple(ids)
 
 
 def is_stable(g: Graph, s: Iterable[int]) -> bool:
     """True when no two members are adjacent; empty and singleton pass."""
-    members = sorted(check_vertex_set(g, s))
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if v in g.adj[u]:
-                return False
-    return True
+    m = mask_of(check_vertex_set(g, s))
+    return not neighbors_of(g, m) & m
 
 
 def least_stable_subset(
@@ -304,12 +285,8 @@ def least_stable_subset(
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True when every two members are adjacent; empty and singleton pass."""
-    members = sorted(check_vertex_set(g, s))
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if v not in g.adj[u]:
-                return False
-    return True
+    m = mask_of(check_vertex_set(g, s))
+    return all(not m & ~g.bits[u] & ~(1 << u) for u in members(m))
 
 
 def connected_component(g: Graph, v: int) -> frozenset[int]:

@@ -76,56 +76,51 @@ def _check_stage(name: str, arr: TemplateArray) -> None:
 def run_pipeline(
     g: Graph, p: Params, limit: int | None = None
 ) -> PipelineTrace:
-    """Run every stage on ``g``.  Stages colour some vertex sets more
-    than once, so the run keeps one chi memo, dropped on return."""
+    # Stages colour some vertex sets more than once: one chi memo per run.
     with chi_memo(g):
-        return _run(g, p, limit)
+        arr, leftover = extract_template_array(g, p, limit=limit)
+        _check_stage("extract", arr)
+        stages: list[tuple[str, TemplateArray, dict]] = [
+            ("extract", arr, {"leftover": sorted(leftover)})
+        ]
 
+        arr1, rep1 = clean1(arr, limit=limit)
+        _check_stage("clean1", arr1)
+        stages.append(("clean1", arr1, rep1))
 
-def _run(g: Graph, p: Params, limit: int | None) -> PipelineTrace:
-    arr, leftover = extract_template_array(g, p, limit=limit)
-    _check_stage("extract", arr)
-    stages: list[tuple[str, TemplateArray, dict]] = [
-        ("extract", arr, {"leftover": sorted(leftover)})
-    ]
+        arr2, rep2 = clean2(arr1, limit=limit)
+        _check_stage("clean2", arr2)
+        stages.append(("clean2", arr2, rep2))
 
-    arr1, rep1 = clean1(arr, limit=limit)
-    _check_stage("clean1", arr1)
-    stages.append(("clean1", arr1, rep1))
+        arr3, priv, rep3 = privatize(arr2, limit=limit)
+        _check_stage("privatize", arr3)
+        priv_problems = validate_privatization(arr3, priv)
+        if priv_problems:
+            raise StageError("privatize", priv_problems)
+        stages.append(("privatize", arr3, rep3))
 
-    arr2, rep2 = clean2(arr1, limit=limit)
-    _check_stage("clean2", arr2)
-    stages.append(("clean2", arr2, rep2))
+        arr4, rep4 = clean3(arr3, limit=limit)
+        _check_stage("clean3", arr4)
+        stages.append(("clean3", arr4, rep4))
 
-    arr3, priv, rep3 = privatize(arr2, limit=limit)
-    _check_stage("privatize", arr3)
-    priv_problems = validate_privatization(arr3, priv)
-    if priv_problems:
-        raise StageError("privatize", priv_problems)
-    stages.append(("privatize", arr3, rep3))
+        leftover_core_free = (
+            find_core(g, p.zeta, p.beta, limit=limit, within=mask_of(leftover)) is None
+        )
 
-    arr4, rep4 = clean3(arr3, limit=limit)
-    _check_stage("clean3", arr4)
-    stages.append(("clean3", arr4, rep4))
+        shadow = build_shadowing(arr4)
+        problems = validate_shadowing(arr4, shadow)
+        if problems:
+            raise StageError("shadow", problems)
 
-    leftover_core_free = (
-        find_core(g, p.zeta, p.beta, limit=limit, within=mask_of(leftover)) is None
-    )
-
-    shadow = build_shadowing(arr4)
-    problems = validate_shadowing(arr4, shadow)
-    if problems:
-        raise StageError("shadow", problems)
-
-    audit = bound_audit(arr4, privatization=priv, limit=limit)
-    triples = strong_triple_audit(arr4, shadow, priv, limit=limit)
-    return PipelineTrace(
-        params=p,
-        stages=stages,
-        leftover=leftover,
-        leftover_core_free=leftover_core_free,
-        shadowing=shadow,
-        privatization=priv,
-        audit=audit,
-        strong_triples=triples,
-    )
+        audit = bound_audit(arr4, privatization=priv, limit=limit)
+        triples = strong_triple_audit(arr4, shadow, priv, limit=limit)
+        return PipelineTrace(
+            params=p,
+            stages=stages,
+            leftover=leftover,
+            leftover_core_free=leftover_core_free,
+            shadowing=shadow,
+            privatization=priv,
+            audit=audit,
+            strong_triples=triples,
+        )

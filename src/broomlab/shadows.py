@@ -11,7 +11,7 @@ clients; privatization applies it to the Z part of an array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .constants import nested_s_of, shadow_chi_bound_of, shadow_chi_r_of
@@ -47,28 +47,21 @@ class Shadowing:
 def _owners(sets) -> dict[int, int]:
     """Each member of the given sets mapped to the position of the last
     set holding it."""
-    owner: dict[int, int] = {}
-    for i, members in enumerate(sets):
-        for v in members:
-            owner[v] = i
-    return owner
+    return {v: i for i, vs in enumerate(sets) for v in vs}
 
 
 def validate_shadowing(arr: TemplateArray, s: Shadowing) -> list[str]:
-    problems = []
     if len(s.blocks) != arr.size:
-        problems.append("block count differs from template count")
-        return problems
-    union: set[int] = set()
-    for i, b in enumerate(s.blocks):
+        return ["block count differs from template count"]
+    problems = []
+    union = 0
+    for i, b in enumerate(map(mask_of, s.blocks)):
         if b & union:
             problems.append(f"block {i} overlaps an earlier block")
         union |= b
-        h = arr.templates[i].h
-        for v in sorted(b):
-            if not arr.graph.adj[v] & h:
-                problems.append(f"block {i} vertex {v} misses template {i}")
-    if union != set(arr.u):
+        for v in members(b & ~neighbors_of(arr.graph, arr.templates[i].hmask)):
+            problems.append(f"block {i} vertex {v} misses template {i}")
+    if union != arr.umask:
         problems.append("blocks do not partition U")
     return problems
 
@@ -84,19 +77,19 @@ def build_shadowing(arr: TemplateArray, strategy: str = "least_index") -> Shadow
     """
     g, p = arr.graph, arr.params
     n = arr.size
-    hs = arr.h_sets()
+    hs = arr.h_masks()
     blocks: list[set[int]] = [set() for _ in range(n)]
     if strategy == "least_index":
-        for u in sorted(arr.u):
-            i = min(i for i in range(n) if g.adj[u] & hs[i])
+        for u in members(arr.umask):
+            i = min(i for i in range(n) if g.bits[u] & hs[i])
             blocks[i].add(u)
     elif strategy == "high_degree":
         from .constants import epsilon_of
 
         eps = epsilon_of(p)
         need = (p.beta + 1) * p.delta
-        for u in sorted(arr.u):
-            counts = [len(g.adj[u] & hs[i]) for i in range(n)]
+        for u in members(arr.umask):
+            counts = [(g.bits[u] & hs[i]).bit_count() for i in range(n)]
             best = max(counts)
             i = counts.index(best)
             blocks[i].add(u)
@@ -167,15 +160,15 @@ def validate_daisy(
         problems.append("petals leave their block")
     if x is not None and not (d.petals | {d.eye}) <= x:
         problems.append("daisy leaves the restriction set")
-    h_all = arr.h_union()
-    if (d.petals | {d.eye}) & h_all:
+    if mask_of(d.petals | {d.eye}) & arr.h_mask:
         problems.append("eye or petal inside H")
-    if d.eye not in g.adj[d.root]:
+    bits = g.bits
+    if not bits[d.root] >> d.eye & 1:
         problems.append("eye not adjacent to root")
     for q in d.petals:
-        if q not in g.adj[d.eye]:
+        if not bits[d.eye] >> q & 1:
             problems.append("petal not adjacent to eye")
-        if q in g.adj[d.root]:
+        if bits[d.root] >> q & 1:
             problems.append("petal adjacent to root")
     if not is_stable(g, d.petals):
         problems.append("petals not stable")
@@ -187,35 +180,23 @@ def find_daisy(
 ) -> Daisy | None:
     """Exhaustive daisy search inside H union x, lowest choices first."""
     g, p = arr.graph, arr.params
-    xs = arr.u if x is None else check_vertex_set(g, x) & arr.u
+    bits = g.bits
+    xm = arr.umask if x is None else mask_of(check_vertex_set(g, x)) & arr.umask
     owner = _owners(s.blocks)
     h_owner = _owners(arr.h_sets())
-    for eye in sorted(xs):
-        roots = sorted(v for v in g.adj[eye] if v in h_owner)
-        petal_pool = sorted(
-            v for v in g.adj[eye] if v in xs and v != eye
-        )
-        for root in roots:
+    for eye in members(xm):
+        for root in members(bits[eye] & arr.h_mask):
             i = h_owner[root]
             by_block: dict[int, list[int]] = {}
-            for q in petal_pool:
-                j = owner.get(q)
-                if j is None or j == i:
-                    continue
-                if q in g.adj[root]:
-                    continue
-                by_block.setdefault(j, []).append(q)
+            for q in members(bits[eye] & xm & ~bits[root]):
+                if owner.get(q, i) != i:
+                    by_block.setdefault(owner[q], []).append(q)
             for j in sorted(by_block):
                 cand = by_block[j]
                 picked = least_stable_subset(g, cand, p.delta)
                 if picked is not None:
-                    return Daisy(
-                        root=root,
-                        eye=eye,
-                        petals=frozenset(cand[k] for k in picked),
-                        root_index=i,
-                        petal_index=j,
-                    )
+                    petals = frozenset(cand[k] for k in picked)
+                    return Daisy(root, eye, petals, i, j)
     return None
 
 
@@ -249,12 +230,11 @@ def _interference(g: Graph, a: Daisy, b: Daisy) -> list[str]:
     problems = []
     if sa & sb:
         problems.append("eye/petal sets intersect")
-    if any(q in g.adj[v] for v in sa for q in sb):
+    if neighbors_of(g, mask_of(sa)) & mask_of(sb):
         problems.append("edge between eye/petal sets")
-    if any(q in g.adj[a.root] for q in b.petals):
-        problems.append("root adjacent to a foreign petal")
-    if any(q in g.adj[b.root] for q in a.petals):
-        problems.append("root adjacent to a foreign petal")
+    for x, y in ((a, b), (b, a)):
+        if g.bits[x.root] & mask_of(y.petals):
+            problems.append("root adjacent to a foreign petal")
     return problems
 
 
@@ -269,32 +249,24 @@ def find_bunch(
     if count < 1:
         raise ValueError("count must be positive")
     g, p = arr.graph, arr.params
-    xs = arr.u if x is None else check_vertex_set(g, x) & arr.u
+    bits = g.bits
+    xm = arr.umask if x is None else mask_of(check_vertex_set(g, x)) & arr.umask
     owner = _owners(s.blocks)
     n = arr.size
 
     def daisies_for(i: int, j: int) -> list[Daisy]:
         out = []
-        for eye in sorted(xs):
-            roots = sorted(v for v in g.adj[eye] if v in arr.templates[i].h)
-            cand_all = sorted(
-                q
-                for q in g.adj[eye]
-                if q in xs and owner.get(q) == j
-            )
-            for root in roots:
-                cand = [q for q in cand_all if q not in g.adj[root]]
+        for eye in members(xm):
+            cand_all = [q for q in members(bits[eye] & xm) if owner.get(q) == j]
+            for root in members(bits[eye] & arr.templates[i].hmask):
+                cand = [q for q in cand_all if not bits[root] >> q & 1]
                 for petals in combinations(cand, p.delta):
-                    if all(
-                        b not in g.adj[a] for a, b in combinations(petals, 2)
-                    ):
-                        out.append(
-                            Daisy(root, eye, frozenset(petals), i, j)
-                        )
+                    if is_stable(g, petals):
+                        out.append(Daisy(root, eye, frozenset(petals), i, j))
         return out
 
     for i in range(n):
-        blocks = [j for j in range(n) if j != i and s.blocks[j] & xs]
+        blocks = [j for j in range(n) if j != i and mask_of(s.blocks[j]) & xm]
         if len(blocks) < count:
             continue
         chosen: list[Daisy] = []
@@ -386,12 +358,13 @@ def private_cover(
 def verify_private_cover(
     g: Graph, a: frozenset[int], b: frozenset[int], d: int, pc: PrivateCover
 ) -> list[str]:
+    bits = g.bits
+    kept, peeled = mask_of(pc.a_prime), mask_of(pc.b_prime)
     problems = []
     if not pc.a_prime <= a or not pc.b_prime <= b:
         problems.append("outputs leave their source sets")
-    for v in sorted(b - pc.b_prime):
-        if not g.adj[v] & pc.a_prime:
-            problems.append(f"vertex {v} lost its cover")
+    for v in members(mask_of(b) & ~peeled & ~neighbors_of(g, kept)):
+        problems.append(f"vertex {v} lost its cover")
     if len(pc.decomposition) != d:
         problems.append("wrong number of layers")
     union: frozenset[int] = frozenset()
@@ -401,12 +374,12 @@ def verify_private_cover(
             problems.append("layer is not matching-covered")
     if union != pc.b_prime:
         problems.append("layers do not union to the peeled set")
-    for v in sorted(pc.b_prime):
-        if len(g.adj[v] & pc.a_prime) > 1:
+    for v in members(peeled):
+        if (bits[v] & kept).bit_count() > 1:
             problems.append(f"peeled vertex {v} keeps several cover neighbours")
-    for u in sorted(pc.a_prime):
-        if len(g.adj[u] & pc.b_prime) != d:
-            problems.append(f"cover vertex {u} owns {len(g.adj[u] & pc.b_prime)} != {d} clients")
+    for u in members(kept):
+        if (bits[u] & peeled).bit_count() != d:
+            problems.append(f"cover vertex {u} owns {(bits[u] & peeled).bit_count()} != {d} clients")
     return problems
 
 
@@ -479,14 +452,7 @@ def privatize(
         for t in arr.templates
     )
     new_u = (arr.u - pc.b_prime) | pi
-    out = TemplateArray(
-        graph=g,
-        templates=new_templates,
-        u=new_u,
-        params=p,
-        cleanliness=arr.cleanliness,
-        partial2_degree=arr.partial2_degree,
-    )
+    out = replace(arr, templates=new_templates, u=new_u)
     priv = Privatization(
         pi=pi,
         private_neighbor=pairs,
@@ -569,25 +535,19 @@ def strong_triple_audit(
     path.
     """
     g, p = arr.graph, arr.params
-    n = arr.size
-    rest = [b - priv.pi for b in s.blocks]
-    delta = p.delta
+    bits, n = g.bits, arr.size
+    pi = mask_of(priv.pi)
+    rest = [mask_of(b) & ~pi for b in s.blocks]
 
-    def has_stable_neighbors(v: int, pool: frozenset[int], avoid: int | None) -> bool:
-        cand = sorted(
-            q for q in g.adj[v] & pool if avoid is None or q not in g.adj[avoid]
-        )
-        return least_stable_subset(g, cand, delta) is not None
+    def has_stable_neighbors(v: int, pool: int, avoid: int | None) -> bool:
+        cand = bits[v] & pool & ~(0 if avoid is None else bits[avoid])
+        return least_stable_subset(g, members(cand), p.delta) is not None
 
     triples: dict[int, list[tuple[int, int, int]]] = {}
     for i in range(n):
         found: list[tuple[int, int, int]] = []
         for a in range(i + 1, n):
-            pairs = [
-                (u, v)
-                for u in sorted(rest[i])
-                for v in sorted(g.adj[u] & rest[a])
-            ]
+            pairs = [(u, v) for u in members(rest[i]) for v in members(bits[u] & rest[a])]
             if not pairs:
                 continue
             for b in range(i + 1, n):
@@ -615,21 +575,17 @@ def strong_triple_audit(
     s_obs = max(shadowing_degree(arr, s, arr.u - priv.pi)[0], 1)
     r_bound = shadow_chi_r_of(p, max(s_obs, nested_s_of(p)))
 
-    owner = _owners(rest)
-    arcs = []
+    # Cross-block edges, directed from the earlier block to the later.
+    owner = _owners(members(r) for r in rest)
     verts = sorted(owner)
     pos = {v: k for k, v in enumerate(verts)}
-    for u in verts:
-        for v in sorted(g.adj[u]):
-            if v in owner and owner[v] > owner[u]:
-                arcs.append((pos[u], pos[v]))
-    dg = Digraph(len(verts), arcs)
-    col = gallai_roy_color(dg)
+    cross = [(u, v) for u in verts for v in members(bits[u]) if v in owner]
+    arcs = [(pos[u], pos[v]) for u, v in cross if owner[v] > owner[u]]
+    col = gallai_roy_color(Digraph(len(verts), arcs))
     proper = all(
         col.colors[pos[u]] != col.colors[pos[v]]
-        for u in verts
-        for v in g.adj[u]
-        if v in owner and owner[v] != owner[u]
+        for u, v in cross
+        if owner[v] != owner[u]
     )
 
     return StrongTripleReport(

@@ -16,19 +16,17 @@ pick, and the lowest colour free at the picked vertex.  It is an upper
 bound only and is never reported as the chromatic number unless the
 clique bound meets it.
 
-The searches read only a graph's ``n`` and ``bits``, so they run as
-well on a :class:`~broomlab.graphs.SubsetView` of a vertex set as on a
-:class:`~broomlab.graphs.Graph`.
+The searches read only a graph's ``n`` and ``bits``, so they also run
+on a :func:`~broomlab.graphs.subset_view` of a vertex set.
 
 Two helpers serve the rest of the library.  :func:`check_limit` is the
 one place the size cap is resolved (``limit`` or
 ``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
-by a vertex set.  It refuses by size first, then colours a subset view
-of the host, whose ids keep their order and whose degrees are counted
-inside the set, so the colouring is the one ``induced`` would give.
-Inside a :func:`chi_memo` block (one per pipeline run) it colours each
-vertex set of its graph once.
+by a vertex set: it refuses by size, then colours a subset view, whose
+ids keep their order and whose degrees are counted inside the set, as
+in ``induced``.  Inside a :func:`chi_memo` block (one per pipeline run)
+it colours each vertex set once.
 """
 
 from __future__ import annotations
@@ -42,7 +40,9 @@ from .graphs import (
     Graph,
     check_vertex_set,
     mask_of,
+    members,
     neighborhood_closed,
+    remap,
     subset_view,
 )
 
@@ -77,11 +77,8 @@ def validate_coloring(g: Graph, c: Coloring) -> bool:
         raise ValueError(
             f"coloring covers {len(c.colors)} vertices, graph has {g.n}"
         )
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v and c.colors[u] == c.colors[v]:
-                return False
-    return True
+    colors = c.colors
+    return all(colors[u] != colors[v] for u in range(g.n) for v in members(g.bits[u]))
 
 
 def check_limit(what: str, size: int, limit: int | None) -> None:
@@ -103,15 +100,7 @@ def _dsatur_ranks(g: Graph) -> tuple[list[int], list[int]]:
     for r, v in enumerate(rank):
         where[v] = r
         to_rank[1 << v] = 1 << r
-    rows = []
-    for v in rank:
-        nb, row = bits[v], 0
-        while nb:
-            low = nb & -nb
-            row |= to_rank[low]
-            nb ^= low
-        rows.append(row)
-    return where, rows
+    return where, [remap(bits[v], to_rank) for v in rank]
 
 
 def greedy_coloring(g: Graph) -> Coloring:
@@ -339,9 +328,7 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
 
 
 # (graph, chi by vertex mask) while a ``chi_memo`` block runs.
-_CHI_MEMO: ContextVar[tuple[Graph, dict[int, int]] | None] = ContextVar(
-    "chi_memo", default=None
-)
+_CHI_MEMO: ContextVar[tuple[Graph, dict[int, int]] | None] = ContextVar("chi_memo")
 
 
 @contextmanager
@@ -364,7 +351,7 @@ def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int
     """
     check_limit("chromatic_number", len(verts), limit)
     mask = mask_of(check_vertex_set(g, verts))
-    memo = _CHI_MEMO.get()
+    memo = _CHI_MEMO.get(None)
     known = memo[1] if memo is not None and memo[0] is g else {}
     if mask not in known:
         view, _ = subset_view(g, mask)

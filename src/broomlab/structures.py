@@ -1,17 +1,12 @@
 """Complete-multipartite cores, dense/mixed vertex classification, and
-matching-covered set machinery, plus the five-condition host checker.
-
-:func:`density_masks` classifies every host vertex against one core at
-once, as two int masks (dense, mixed); the pipeline's loops test those
-masks, and :func:`is_dense_to` and :func:`is_eta_mixed` read one bit.
-"""
+matching-covered set machinery, plus the five-condition host checker."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, check_vertex_set, mask_of
+from .graphs import Graph, check_vertex_set, lowest, mask_of, members
 from .solvers import (
     check_limit,
     chi_local,
@@ -37,9 +32,7 @@ class CoreWitness:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
     # density_masks results by (id(graph), alpha, eta), with the graph.
-    _density: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _density: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
@@ -155,11 +148,7 @@ class Params:
 
 
 def find_core(
-    g: Graph,
-    a: int,
-    b: int,
-    limit: int | None = None,
-    within: int | None = None,
+    g: Graph, a: int, b: int, limit: int | None = None, within: int | None = None
 ) -> CoreWitness | None:
     """Search for an (a,b)-core inside ``within``, an int mask of vertex
     ids (all of ``g`` when None), lexicographically least parts first.
@@ -239,17 +228,15 @@ def find_core(
 def density_masks(
     g: Graph, core: CoreWitness, alpha: int, eta: int
 ) -> tuple[int, int]:
-    """The host vertices dense to the core, and those eta-mixed on it.
+    """Masks of the host vertices dense to the core (outside it, at
+    least alpha neighbours in every part) and of those eta-mixed on it
+    (every core member, and every outside vertex that is not dense but
+    has at least eta neighbours in some part).  With no parts every
+    outside vertex is (vacuously) dense, so none is mixed.
 
-    Dense: outside the core, with at least alpha neighbours in every
-    part.  Mixed: every core member, and every outside vertex that is
-    not dense but has at least eta neighbours in some part.  With no
-    parts every outside vertex is (vacuously) dense, so none is mixed.
-
-    Per part, ``at[j]`` is the mask of the vertices with at least j
-    neighbours in it, grown one part member at a time, so a core costs
-    O(|core| * max(alpha, eta)) big-int operations.  The core keeps the
-    result for the graph, which every array built on the core reuses.
+    Per part, ``at[j]`` masks the vertices with at least j neighbours in
+    it, grown one part member at a time: O(|core| * max(alpha, eta))
+    big-int operations.  The core keeps the result for the graph.
     """
     known = core._density.get((id(g), alpha, eta))
     if known is not None and known[0] is g:
@@ -296,20 +283,25 @@ class MatchingCoverResult:
     offender: int | None = None
 
 
+def _private(g: Graph, xm: int) -> int:
+    """The vertices outside ``xm`` with exactly one neighbour in it."""
+    ones = twos = 0
+    for v in members(xm):
+        twos |= ones & g.bits[v]
+        ones |= g.bits[v]
+    return ones & ~twos & ~xm
+
+
 def is_matching_covered(g: Graph, x: frozenset[int] | set[int]) -> MatchingCoverResult:
     """Every member needs a private outside neighbour (adjacent to it and
     to no other member).  Witnesses are the lowest eligible ids."""
-    xs = check_vertex_set(g, x)
+    xm = mask_of(check_vertex_set(g, x))
+    private = _private(g, xm)
     witnesses: dict[int, int] = {}
-    for v in sorted(xs):
-        found = None
-        for y in sorted(g.adj[v] - xs):
-            if len(g.adj[y] & xs) == 1:
-                found = y
-                break
-        if found is None:
+    for v in members(xm):
+        if not g.bits[v] & private:
             return MatchingCoverResult(False, {}, offender=v)
-        witnesses[v] = found
+        witnesses[v] = lowest(g.bits[v] & private)
     return MatchingCoverResult(True, witnesses)
 
 
@@ -340,39 +332,28 @@ def max_matching_covered_chi(
     checked = 0
 
     if n <= exhaustive_limit:
-        adj = g.adj
         violation: list[tuple[frozenset[int], int]] = []
 
-        def witness_counts(xs: set[int]) -> dict[int, int]:
-            return {
-                v: sum(1 for y in adj[v] - xs if len(adj[y] & xs) == 1)
-                for v in xs
-            }
-
-        def scan(xs: set[int], start: int) -> bool:
+        def scan(xm: int, start: int) -> bool:
             nonlocal checked
-            counts = witness_counts(xs)
-            if any(c == 0 for c in counts.values()):
+            private = _private(g, xm)
+            if any(not g.bits[v] & private for v in members(xm)):
                 # A member with no private witness never regains one as
                 # the set grows, so the whole subtree is dead.
                 return False
-            if xs:
+            if xm:
                 checked += 1
                 # chi(X) <= |X|, so only sets larger than tau can violate.
-                if len(xs) > tau:
-                    chi = chi_of_set(g, frozenset(xs), limit)
+                if xm.bit_count() > tau:
+                    xs = frozenset(members(xm))
+                    chi = chi_of_set(g, xs, limit)
                     if chi > tau:
-                        violation.append((frozenset(xs), chi))
+                        violation.append((xs, chi))
                         return True
-            for v in range(start, n):
-                xs.add(v)
-                if scan(xs, v + 1):
-                    return True
-                xs.discard(v)
-            return False
+            return any(scan(xm | 1 << v, v + 1) for v in range(start, n))
 
         try:
-            found = scan(set(), 0)
+            found = scan(0, 0)
         finally:
             del scan  # break the closure's reference cycle
         if found:

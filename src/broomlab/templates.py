@@ -73,10 +73,10 @@ CLEANLINESS_RANK = {
 class Template:
     core: CoreWitness
     h: frozenset[int]
-    hmask: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "hmask", mask_of(self.h))
+    @functools.cached_property
+    def hmask(self) -> int:
+        return mask_of(self.h)
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,8 @@ class TemplateArray:
 
     @functools.cached_property
     def density(self) -> list[tuple[int, int]]:
-        """Per template, the host vertices dense to its core and those
-        mixed on it."""
         g, p = self.graph, self.params
         return [density_masks(g, t.core, p.alpha, p.eta) for t in self.templates]
-
-    def h_union(self) -> frozenset[int]:
-        return frozenset(members(self.h_mask))
-
-    def y_union(self) -> frozenset[int]:
-        return frozenset(members(self.y_mask))
-
-    def z_union(self) -> frozenset[int]:
-        return frozenset(members(self.h_mask & ~self.y_mask))
 
     def vertices(self) -> frozenset[int]:
         return frozenset(members(self.h_mask | self.umask))
@@ -183,12 +172,7 @@ def validate_template_array(arr: TemplateArray) -> list[str]:
                 v = lowest(hs[j] & mixed[i])
                 problems.append(f"H_{j} vertex {v} is mixed on earlier core {i}")
     h_all = arr.h_mask
-    rest = arr.umask & ~h_all
-    bad = (arr.umask & h_all) | (rest & ~neighbors_of(g, h_all))
-    for m in mixed:
-        bad |= rest & m
-    # Only offending U vertices are walked, lowest first, as before.
-    for u in members(bad):
+    for u in members(arr.umask):
         if h_all >> u & 1:
             problems.append(f"U vertex {u} lies in H")
             continue
@@ -259,26 +243,17 @@ def _separated(arr: TemplateArray) -> bool:
 def is_3_cleaned(arr: TemplateArray) -> bool:
     if not is_2_cleaned(arr):
         return False
-    bits = arr.graph.bits
-    eps = epsilon_of(arr.params)
-    h_all = arr.h_mask
+    bits, h_all, eps = arr.graph.bits, arr.h_mask, epsilon_of(arr.params)
     return all((bits[u] & h_all).bit_count() < eps for u in members(arr.umask))
 
 
 def cleanliness_holds(arr: TemplateArray) -> bool:
-    level = arr.cleanliness
-    if level == "raw":
-        return True
-    if level == "partial1":
-        return is_partially_1_cleaned(arr)
-    if level == "clean1":
-        return is_1_cleaned(arr)
+    level, d = arr.cleanliness, arr.partial2_degree
     if level == "partial2":
-        d = arr.partial2_degree
         return d is not None and is_partially_2_cleaned(arr, d)
-    if level == "clean2":
-        return is_2_cleaned(arr)
-    return is_3_cleaned(arr)
+    predicates = {"raw": lambda a: True, "partial1": is_partially_1_cleaned,
+                  "clean1": is_1_cleaned, "clean2": is_2_cleaned, "clean3": is_3_cleaned}
+    return predicates[level](arr)
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +278,22 @@ def color_bounded_outdegree(d: Digraph, bound: int) -> Coloring:
     if n == 0:
         return Coloring((), 0)
     topo = d.topological_order()
-    colors = [-1] * n
     if topo is not None:
-        for v in reversed(topo):
-            used = {colors[w] for w in d.out[v]}
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
+        order, nbrs = topo, [mask_of(s) for s in d.out]
     else:
-        under = d.underlying_graph()
-        degree = {v: len(under.adj[v]) for v in range(n)}
-        alive = set(range(n))
-        order: list[int] = []
+        # Repeatedly remove a vertex of least remaining degree, lowest id
+        # first; colouring in reverse sees at most 2*bound coloured
+        # neighbours at each vertex.
+        nbrs = list(d.underlying_graph().bits)
+        order, alive = [], (1 << n) - 1
         while alive:
-            v = min(alive, key=lambda x: (degree[x], x))
+            v = min(members(alive), key=lambda x: (nbrs[x] & alive).bit_count())
             order.append(v)
-            alive.discard(v)
-            for w in under.adj[v]:
-                if w in alive:
-                    degree[w] -= 1
-        for v in reversed(order):
-            used = {colors[w] for w in under.adj[v] if colors[w] != -1}
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
+            alive ^= 1 << v
+    colors = [-1] * n
+    for v in reversed(order):
+        used = {colors[w] for w in members(nbrs[v])}
+        colors[v] = min(set(range(len(used) + 1)) - used)  # lowest free colour
     palette = max(colors) + 1
     cap = bound + 1 if topo is not None else 2 * bound + 1
     if palette > cap:
@@ -392,13 +357,7 @@ def extract_template_array(
         templates.append(Template(core=core, h=frozenset(members(h_new))))
         h_all |= h_new
         claimed = h_all | neighbors_of(g, h_all)
-    arr = TemplateArray(
-        graph=g,
-        templates=tuple(templates),
-        u=frozenset(members(claimed & ~h_all)),
-        params=p,
-        cleanliness="raw",
-    )
+    arr = TemplateArray(g, tuple(templates), frozenset(members(claimed & ~h_all)), p)
     return arr, frozenset(members(full & ~claimed))
 
 
@@ -414,6 +373,14 @@ def _most_chromatic(
     return chis, chis.index(max(chis))
 
 
+def _index_classes(n: int, arcs: list[tuple[int, int]]) -> list[list[int]]:
+    """The colour classes of the digraph on indices 0..n-1 with ``arcs``,
+    coloured by ``color_bounded_outdegree``."""
+    dgraph = Digraph(n, arcs)
+    col = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
+    return [[i for i in range(n) if col.colors[i] == c] for c in range(col.palette_size)]
+
+
 def _subarray(
     arr: TemplateArray,
     keep: list[int],
@@ -421,14 +388,10 @@ def _subarray(
     cleanliness: str,
     partial2_degree: int | None = None,
 ) -> TemplateArray:
-    return TemplateArray(
-        graph=arr.graph,
-        templates=tuple(arr.templates[i] for i in keep),
-        u=frozenset(members(umask)),
-        params=arr.params,
-        cleanliness=cleanliness,
-        partial2_degree=partial2_degree,
-    )
+    templates = tuple(arr.templates[i] for i in keep)
+    u = frozenset(members(umask))
+    return replace(arr, templates=templates, u=u, cleanliness=cleanliness,
+                   partial2_degree=partial2_degree)
 
 
 def clean1(
@@ -466,19 +429,8 @@ def clean1(
         good = [i for i in touching if not dense[i] >> u & 1]
         buckets[min(good or touching)] |= 1 << u
 
-    arcs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and dense[i] & (hs[j] | buckets[j])
-    ]
-    dgraph = Digraph(n, arcs)
-    coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
-
-    keeps = [
-        [i for i in range(n) if coloring.colors[i] == c]
-        for c in range(coloring.palette_size)
-    ]
+    keeps = _index_classes(n, [(i, j) for i in range(n) for j in range(n)
+                               if i != j and dense[i] & (hs[j] | buckets[j])])
     cands = [
         _subarray(arr, keep, _union(buckets[i] for i in keep), "partial1")
         for keep in keeps
@@ -488,18 +440,11 @@ def clean1(
     report["chosen_class"] = chosen
     partial = cands[chosen]
 
-    dense_left = _union(dense[i] for i in keeps[chosen]) & (
-        partial.h_mask | partial.umask
-    )
+    dense_left = _union(dense[i] for i in keeps[chosen]) & (partial.h_mask | partial.umask)
     if dense_left & ~partial.umask:
         raise AssertionError("dense vertex survived outside U after partial pass")
-    out = TemplateArray(
-        graph=g,
-        templates=partial.templates,
-        u=frozenset(members(partial.umask & ~dense_left)),
-        params=p,
-        cleanliness="clean1",
-    )
+    u_final = frozenset(members(partial.umask & ~dense_left))
+    out = replace(partial, u=u_final, cleanliness="clean1")
     report["removed_dense"] = members(dense_left)
     report["chi_removed"] = (
         chi_of_set(g, frozenset(report["removed_dense"]), limit) if dense_left else 0
@@ -538,18 +483,10 @@ def clean2(
     h_ids = [members(h) for h in hs]
     u_ids = members(arr.umask)
 
-    arcs = [
-        (j, i)
-        for j in range(n)
-        for i in range(n)
-        if i != j and any((bits[v] & hs[i]).bit_count() >= p.delta for v in h_ids[j])
-    ]
-    dgraph = Digraph(n, arcs)
-    coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
-
     cands = []
-    for c in range(coloring.palette_size):
-        keep = [i for i in range(n) if coloring.colors[i] == c]
+    heavy = [(j, i) for j in range(n) for i in range(n) if i != j
+             and any((bits[v] & hs[i]).bit_count() >= p.delta for v in h_ids[j])]
+    for keep in _index_classes(n, heavy):
         h_keep = _union(hs[i] for i in keep)
         u_c = _union(1 << u for u in u_ids if bits[u] & h_keep)
         d_obs = max(
@@ -593,13 +530,8 @@ def clean2(
         )
         h_new = _union(hs_new)
         u_new = frozenset(u for u in u_ids if bits[u] & h_new)
-        cands.append(TemplateArray(
-            graph=g,
-            templates=new_templates,
-            u=u_new,
-            params=p,
-            cleanliness="clean2",
-        ))
+        cands.append(replace(partial, templates=new_templates, u=u_new,
+                             cleanliness="clean2", partial2_degree=None))
     class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands], limit)
     report["split"] = {
         "class_chis_u": class_chis_u,
@@ -625,13 +557,7 @@ def clean3(
     removed = frozenset(
         u for u in members(arr.umask) if (g.bits[u] & h_all).bit_count() >= eps
     )
-    out = TemplateArray(
-        graph=g,
-        templates=arr.templates,
-        u=arr.u - removed,
-        params=p,
-        cleanliness="clean3",
-    )
+    out = replace(arr, u=arr.u - removed, cleanliness="clean3", partial2_degree=None)
     report = {
         "pass": "clean3",
         "epsilon": eps,
@@ -729,9 +655,12 @@ def _contacts(
     touches."""
 
     def counts(arr: TemplateArray) -> Counts:
-        near = [neighbors_of(arr.graph, m) for m in masks_of(arr)]
-        for v in members(arr.h_mask | arr.umask):
-            yield v, tuple(i for i, m in enumerate(near) if m >> v & 1)
+        verts = arr.h_mask | arr.umask
+        touched: dict[int, list[int]] = {v: [] for v in members(verts)}
+        for i, m in enumerate(masks_of(arr)):
+            for v in members(neighbors_of(arr.graph, m) & verts):
+                touched[v].append(i)
+        return ((v, tuple(idx)) for v, idx in touched.items())
 
     return counts
 
@@ -814,7 +743,13 @@ def bound_audit(
     p = arr.params
     checks: dict[str, AuditCheck] = {}
     # The array is immutable, so its predicate is evaluated at most once.
-    holds = functools.cache(lambda: cleanliness_holds(arr))
+    verdict: list[bool] = []
+
+    def holds() -> bool:
+        if not verdict:
+            verdict.append(cleanliness_holds(arr))
+        return verdict[0]
+
     for rule, required, side, side_msg, counts, bound_of, exceeds in COUNTER_RULES:
         gate = required and _gate(rule, arr, holds, required, side(p), side_msg)
         if gate:
@@ -928,7 +863,7 @@ def extract_T_delta_witness(
 
     # template_contacts replay
     indices = sorted(violation.indices)
-    core_free = [i for i in indices if not g.adj[v] & cores[i].vertices()]
+    core_free = [i for i in indices if not g.bits[v] & cores[i].mask]
     if len(core_free) < 2 * delta:
         return WitnessResult(
             None, None, "core_free_index_supply",
@@ -936,25 +871,23 @@ def extract_T_delta_witness(
         )
     carriers: dict[int, int] = {}
     for i in core_free:
-        att = sorted(g.adj[v] & (hs[i] - cores[i].vertices()))
+        att = g.bits[v] & arr.templates[i].hmask & ~cores[i].mask
         if not att:
             return WitnessResult(
                 None, None, "attachment_missing",
                 f"no attachment vertex for template {i}",
             )
-        carriers[i] = att[0]
+        carriers[i] = lowest(att)
 
-    pos_of = {i: k for k, i in enumerate(core_free)}
-    arcs = []
-    for j in core_free:
-        for i in core_free:
-            if i != j and g.adj[carriers[j]] & cores[i].vertices():
-                arcs.append((pos_of[j], pos_of[i]))
-    dgraph = Digraph(len(core_free), arcs)
-    coloring = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
-    classes: list[list[int]] = [[] for _ in range(coloring.palette_size)]
-    for i in core_free:
-        classes[coloring.colors[pos_of[i]]].append(i)
+    arcs = [
+        (pj, pi)
+        for pj, j in enumerate(core_free)
+        for pi, i in enumerate(core_free)
+        if i != j and g.bits[carriers[j]] & cores[i].mask
+    ]
+    classes = [
+        [core_free[k] for k in cls] for cls in _index_classes(len(core_free), arcs)
+    ]
 
     best_achieved = 0
     chosen = None
