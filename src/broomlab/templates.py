@@ -73,10 +73,10 @@ CLEANLINESS_RANK = {
 class Template:
     core: CoreWitness
     h: frozenset[int]
+    hmask: int = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def hmask(self) -> int:
-        return mask_of(self.h)
+    def __post_init__(self):
+        object.__setattr__(self, "hmask", mask_of(self.h))
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,15 @@ class TemplateArray:
     cleanliness: str = "raw"
     partial2_degree: int | None = None
     umask: int = field(init=False, repr=False, compare=False)
+    h_mask: int = field(init=False, repr=False, compare=False)
+    y_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cleanliness not in CLEANLINESS_RANK:
             raise ValueError(f"unknown cleanliness level {self.cleanliness!r}")
         object.__setattr__(self, "umask", mask_of(self.u))
+        object.__setattr__(self, "h_mask", _union(self.h_masks()))
+        object.__setattr__(self, "y_mask", _union(self.y_masks()))
         if (self.umask | self.h_mask) >> self.graph.n:
             raise ValueError(f"array vertex out of range for n={self.graph.n}")
 
@@ -112,14 +116,6 @@ class TemplateArray:
 
     def y_masks(self) -> list[int]:
         return [t.core.mask for t in self.templates]
-
-    @functools.cached_property
-    def h_mask(self) -> int:
-        return _union(self.h_masks())
-
-    @functools.cached_property
-    def y_mask(self) -> int:
-        return _union(self.y_masks())
 
     @functools.cached_property
     def density(self) -> list[tuple[int, int]]:
