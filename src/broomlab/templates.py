@@ -144,6 +144,7 @@ def validate_template_array(arr: TemplateArray) -> list[str]:
     """All structural invariants; returns human-readable violations."""
     g, p = arr.graph, arr.params
     problems: list[str] = []
+    # verify_core runs first: it raises for a core vertex outside the graph.
     core_ok = [verify_core(g, t.core, p.zeta, p.beta) for t in arr.templates]
     mixed = [m for _, m in arr.density]
     for idx, t in enumerate(arr.templates):
@@ -386,8 +387,7 @@ def _subarray(
 ) -> TemplateArray:
     templates = tuple(arr.templates[i] for i in keep)
     u = frozenset(members(umask))
-    return replace(arr, templates=templates, u=u, cleanliness=cleanliness,
-                   partial2_degree=partial2_degree)
+    return TemplateArray(arr.graph, templates, u, arr.params, cleanliness, partial2_degree)
 
 
 def clean1(
@@ -526,8 +526,7 @@ def clean2(
         )
         h_new = _union(hs_new)
         u_new = frozenset(u for u in u_ids if bits[u] & h_new)
-        cands.append(replace(partial, templates=new_templates, u=u_new,
-                             cleanliness="clean2", partial2_degree=None))
+        cands.append(TemplateArray(g, new_templates, u_new, p, "clean2"))
     class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands], limit)
     report["split"] = {
         "class_chis_u": class_chis_u,
