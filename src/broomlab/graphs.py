@@ -147,8 +147,9 @@ class Digraph:
 def check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """Validate that every member lies in 0..n-1 and return a frozenset."""
     fs = frozenset(s)
-    for v in fs:
-        g.check_vertex(v)
+    if fs and not (0 <= min(fs) and max(fs) < g.n):
+        for v in fs:
+            g.check_vertex(v)
     return fs
 
 

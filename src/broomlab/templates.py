@@ -373,6 +373,8 @@ def _most_chromatic(
 def _index_classes(n: int, arcs: list[tuple[int, int]]) -> list[list[int]]:
     """The colour classes of the digraph on indices 0..n-1 with ``arcs``,
     coloured by ``color_bounded_outdegree``."""
+    if not arcs:  # every index takes colour 0
+        return [list(range(n))] if n else []
     dgraph = Digraph(n, arcs)
     col = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
     return [[i for i in range(n) if col.colors[i] == c] for c in range(col.palette_size)]
