@@ -212,7 +212,9 @@ def clique_number(
     return best_size, tuple(best_set)
 
 
-def _k_colorable(g: Graph, k: int) -> Coloring | None:
+def _k_colorable(
+    g: Graph, k: int, ranks: tuple[list[int], list[int]] | None = None
+) -> Coloring | None:
     """Backtracking k-colourability with DSATUR branching, on bitsets.
 
     The next vertex is the uncoloured one with the most distinct
@@ -224,12 +226,13 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     id), so the pick is the lowest-rank vertex of maximum saturation.
     ``forbidden[c]`` masks the vertices with a neighbour coloured c, and
     saturations are bit-sliced: bit r of ``planes[b]`` is bit b of rank
-    r's count, so a pick costs O(log k) big-int operations.
+    r's count, so a pick costs O(log k) big-int operations.  ``ranks``
+    is ``_dsatur_ranks(g)``, passed by a caller that already has it.
     """
     n = g.n
     if k == 0:
         return Coloring((), 0) if n == 0 else None
-    where, bits = _dsatur_ranks(g)
+    where, bits = ranks or _dsatur_ranks(g)
     forbidden = [0] * k
     color = [-1] * n  # by rank
 
@@ -295,8 +298,9 @@ def _chromatic_given_omega(g: Graph, omega: int) -> tuple[int, Coloring]:
     upper = upper_col.palette_size
     if omega == upper:
         return upper, upper_col
+    ranks = _dsatur_ranks(g)  # one relabelling for every k
     for k in range(omega, upper):
-        col = _k_colorable(g, k)
+        col = _k_colorable(g, k, ranks)
         if col is not None:
             # Witness palette must be exactly k even when the search used
             # fewer colours than allowed.
