@@ -1,5 +1,6 @@
 """Pinned CLI outputs: sha256 digests of ``pipeline``, ``audit`` and
-``analyze`` payloads on fixed hosts.
+``analyze`` payloads on fixed hosts, of ``gen`` for every family, and of
+``survey`` rows on a small manifest of trees, sparse and dense hosts.
 
 Repeated runs of the same code are compared elsewhere (acceptance
 criterion 11); these digests pin the bytes across refactors and Python
@@ -15,6 +16,7 @@ import io
 import json
 
 from broomlab.cli import main
+from broomlab.generators import FIXTURES
 from broomlab.suites import _pipeline_instances
 
 # The pipeline_mix benchmark's flags.
@@ -29,6 +31,37 @@ GOLDEN = {
     "audit": "e7e55ac2cc40f4547ea149fbe061130cf11e7b70d3972ab37767085c4a4453ec",
     "analyze_delta1": "4fcf201960a2c023f0b608170de6d742d22aaddfea4c8091636080712af88691",
     "analyze_delta2": "5da746f82bb4f844302abd8ebfd0a6762547fd4c338e8ae3fe7af26e1a0a80c6",
+}
+
+# (family, params, seed) for ``gen``: every family, every fixture id.
+GEN_SPECS = [
+    ("erdos_renyi", {"n": 30, "p": 0.3}, 5),
+    ("cycle", {"n": 9}, 0),
+    ("path", {"n": 7}, 0),
+    ("complete_multipartite", {"sizes": [2, 3, 4]}, 0),
+    ("kneser", {"n": 6, "k": 2}, 0),
+    ("mycielski_tower", {"levels": 2}, 0),
+    ("mycielski_tower", {"base": {"family": "erdos_renyi",
+                                  "params": {"n": 9, "p": 0.4}}, "levels": 2}, 3),
+    ("planted_core", {"n": 20, "a": 2, "b": 3, "noise_p": 0.2}, 4),
+] + [("fixture", {"id": fid}, 0) for fid in FIXTURES]
+# Trees, sparse and dense hosts; T(delta)-free and not at both deltas.
+SURVEY_INSTANCES = [
+    {"id": "path", "family": "path", "params": {"n": 16}},
+    {"id": "star", "family": "complete_multipartite", "params": {"sizes": [1, 6]}},
+    {"id": "sparse", "family": "erdos_renyi", "params": {"n": 40, "p": 0.08}, "seed": 2},
+    {"id": "sparse2", "family": "erdos_renyi", "params": {"n": 36, "p": 0.15}, "seed": 7},
+    {"id": "planted", "family": "planted_core",
+     "params": {"n": 24, "a": 2, "b": 3, "noise_p": 0.1}, "seed": 1},
+    {"id": "dense", "family": "erdos_renyi", "params": {"n": 22, "p": 0.6}, "seed": 3},
+    {"id": "kneser", "family": "kneser", "params": {"n": 7, "k": 2}},
+    {"id": "mycielski", "family": "mycielski_tower", "params": {"levels": 2}},
+    {"id": "triple", "family": "fixture", "params": {"id": "strong_triple"}},
+]
+GOLDEN_GEN_SURVEY = {
+    "gen": "b228062e9214cb9180a5064c49254a214948f58ac89c7b681954e6bd5453dae8",
+    "survey_delta1": "fa1198f8b83ef61a4a78c3557311da03464d719394fc0f14e4fa55a0fdb0b78a",
+    "survey_delta2": "c7c10f92acad82c08ceb7d101151e38496255a846b482d5019f6f60891f649e7",
 }
 
 
@@ -62,3 +95,27 @@ def _digests(tmp_path) -> dict[str, str]:
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
     assert _digests(tmp_path) == GOLDEN
+
+
+def _gen_survey_digests(tmp_path) -> dict[str, str]:
+    gen = hashlib.sha256()
+    out = tmp_path / "gen.out"
+    for family, params, seed in GEN_SPECS:
+        for fmt in ("edgelist", "dimacs"):
+            argv = ["gen", "--family", family, "--params", json.dumps(params),
+                    "--seed", str(seed), "--format", fmt, "--out", str(out)]
+            assert main(argv) == 0, argv
+            gen.update(out.read_bytes())
+    digests = {"gen": gen.hexdigest()}
+    for delta in (1, 2):
+        manifest = tmp_path / f"survey{delta}.json"
+        manifest.write_text(json.dumps(
+            {"analysis": {"delta": delta}, "instances": SURVEY_INSTANCES}))
+        out = tmp_path / f"survey{delta}.csv"
+        assert main(["survey", "--manifest", str(manifest), "--out", str(out)]) == 0
+        digests[f"survey_delta{delta}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_gen_and_survey_outputs_match_pinned_digests(tmp_path):
+    assert _gen_survey_digests(tmp_path) == GOLDEN_GEN_SURVEY
