@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -32,22 +33,12 @@ from .trees import is_T_delta_free
 
 
 def _params_from_args(args) -> Params:
-    eta = args.eta if args.eta is not None else max(1, args.delta)
-    zeta = (
-        args.zeta
-        if args.zeta is not None
-        else max(eta, args.alpha) + args.delta
+    theta = ThetaTable(tuple(args.theta)) if args.theta else None
+    p = Params.with_minimal_sides(
+        delta=args.delta, tau=args.tau, alpha=args.alpha, beta=args.beta,
+        theta=theta, eta=args.eta,
     )
-    theta = ThetaTable(tuple(args.theta)) if args.theta else ThetaTable.identity()
-    return Params(
-        delta=args.delta,
-        tau=args.tau,
-        alpha=args.alpha,
-        beta=args.beta,
-        zeta=zeta,
-        eta=eta,
-        theta=theta,
-    )
+    return p if args.zeta is None else dataclasses.replace(p, zeta=args.zeta)
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:

@@ -131,10 +131,13 @@ class Params:
         alpha: int = 1,
         beta: int = 2,
         theta: ThetaTable | None = None,
+        eta: int | None = None,
     ) -> "Params":
         """Smallest eta and zeta meeting every cleaning pass's side
-        conditions: eta >= max(1, delta) and zeta >= max(eta, alpha) + delta."""
-        eta = max(1, delta)
+        conditions: eta >= max(1, delta) and zeta >= max(eta, alpha) + delta.
+        An explicit ``eta`` is kept, and zeta is the least for it."""
+        if eta is None:
+            eta = max(1, delta)
         zeta = max(eta, alpha) + delta
         return Params(
             delta=delta,

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from broomlab.cli import main, render_json
+from broomlab.cli import _params_from_args, build_parser, main, render_json
 from broomlab.generators import petersen
 from broomlab.graph_io import (
     GraphParseError,
@@ -139,6 +139,22 @@ def test_cli_gen_analyze_constants(tmp_path, capsys):
     assert values["gamma"] == "9"
     assert values["epsilon"] == "27"
     assert values["strong_contacts.s"] == "498"
+
+
+@pytest.mark.parametrize("eta", [None, 0, 4])
+@pytest.mark.parametrize("zeta", [None, 7])
+def test_cli_eta_zeta_defaults(eta, zeta):
+    # Given or omitted, each as the CLI's own formula had it: eta
+    # defaults to max(1, delta), zeta to max(eta, alpha) + delta with the
+    # eta in force, explicit or not.
+    for delta, alpha in ((1, 1), (2, 1), (1, 3), (3, 2)):
+        argv = ["constants", "--delta", str(delta), "--alpha", str(alpha)]
+        argv += [] if eta is None else ["--eta", str(eta)]
+        argv += [] if zeta is None else ["--zeta", str(zeta)]
+        p = _params_from_args(build_parser().parse_args(argv))
+        want_eta = max(1, delta) if eta is None else eta
+        want_zeta = max(want_eta, alpha) + delta if zeta is None else zeta
+        assert (p.delta, p.alpha, p.eta, p.zeta) == (delta, alpha, want_eta, want_zeta)
 
 
 def test_cli_pipeline_and_audit(tmp_path):
