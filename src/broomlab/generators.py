@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, members
 from .structures import CoreWitness
 
 
@@ -87,7 +87,7 @@ def mycielski(g: Graph) -> Graph:
     n = g.n
     edges = list(g.edges())
     for u in range(n):
-        for v in g.adj[u]:
+        for v in members(g.bits[u]):
             edges.append((u, n + v))
     apex = 2 * n
     edges += [(n + u, apex) for u in range(n)]

@@ -15,36 +15,30 @@ MAX_VERTICES = 4096
 class Graph:
     """Undirected simple graph over ids 0..n-1, no self-loops.
 
-    ``bits[v]`` is v's neighbourhood as an int mask; the solvers, the
-    core search and the pipeline read only ``n`` and ``bits``.  ``adj``
-    holds the same neighbourhoods as frozensets for the code that walks
-    sets: the oracles, the tree search and the generators.
+    ``bits[v]`` is v's neighbourhood as an int mask, the one stored form
+    of adjacency; equality, hashing and ``m`` read it too.
     """
 
-    __slots__ = ("n", "adj", "bits", "_hash")
+    __slots__ = ("n", "bits", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not (0 <= n <= MAX_VERTICES):
             raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        adj: list[set[int]] = [set() for _ in range(n)]
         bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         self.n = n
         self.bits: tuple[int, ...] = tuple(bits)
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._hash = hash((n, self.adj))
+        self._hash = hash((n, self.bits))
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(b.bit_count() for b in self.bits) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in increasing order."""
@@ -61,7 +55,7 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.adj == other.adj
+            and self.bits == other.bits
         )
 
     def __hash__(self) -> int:
@@ -72,34 +66,31 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph: per-vertex out-neighbour sets, no self-arcs.
-
-    Parallel arcs collapse because adjacency is a set.
-    """
+    """Directed graph, no self-arcs: ``out[v]`` is v's out-neighbourhood
+    as an int mask, so parallel arcs collapse."""
 
     __slots__ = ("n", "out", "_hash")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if not (0 <= n <= MAX_VERTICES):
             raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        out: list[set[int]] = [set() for _ in range(n)]
+        out = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-arc at vertex {u}")
-            out[u].add(v)
+            out[u] |= 1 << v
         self.n = n
-        self.out: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in out)
+        self.out: tuple[int, ...] = tuple(out)
         self._hash = hash((n, self.out))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in sorted(self.out[u]):
-                yield (u, v)
+        """Each arc once, in increasing order."""
+        return ((u, v) for u in range(self.n) for v in members(self.out[u]))
 
     def max_outdegree(self) -> int:
-        return max((len(s) for s in self.out), default=0)
+        return max((b.bit_count() for b in self.out), default=0)
 
     def underlying_graph(self) -> Graph:
         return Graph(self.n, ((u, v) for u, v in self.arcs()))
@@ -113,13 +104,12 @@ class Digraph:
         indeg = [0] * self.n
         for _, v in self.arcs():
             indeg[v] += 1
-        ready = sorted(v for v in range(self.n) if indeg[v] == 0)
+        queue = deque(v for v in range(self.n) if indeg[v] == 0)
         order: list[int] = []
-        queue = deque(ready)
         while queue:
             u = queue.popleft()
             order.append(u)
-            for v in sorted(self.out[u]):
+            for v in members(self.out[u]):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
@@ -141,7 +131,7 @@ class Digraph:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={sum(len(s) for s in self.out)})"
+        return f"Digraph(n={self.n}, arcs={sum(b.bit_count() for b in self.out)})"
 
 
 def check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:

@@ -3,7 +3,9 @@
 These deliberately share no code with the optimized operations they
 check: containment is enumerated in plain vertex order, chromatic
 number by exhaustive k-labeling, clique number by subset enumeration,
-cores by direct part enumeration.
+cores by direct part enumeration.  Each oracle reads the graph's edge
+list and builds its own neighbour sets (:func:`adjacency`), never the
+int masks the optimized code searches on.
 Keep them dumb; their value is independence.
 """
 
@@ -14,12 +16,21 @@ from itertools import combinations
 from .graphs import Graph
 
 
+def adjacency(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours as a set, built from ``g.edges()``."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def chromatic_number_oracle(g: Graph) -> int:
     """Minimum k admitting a proper k-labeling, by exhaustive assignment."""
     n = g.n
     if n == 0:
         return 0
-    adj = g.adj
+    adj = adjacency(g)
 
     def assign(k: int, idx: int, colors: list[int]) -> bool:
         if idx == n:
@@ -46,9 +57,10 @@ def chromatic_number_oracle(g: Graph) -> int:
 def clique_number_oracle(g: Graph) -> int:
     """Largest k such that some k-subset of the vertices is a clique,
     by enumerating subsets from the largest size down."""
+    adj = adjacency(g)
     for k in range(g.n, 0, -1):
         for sub in combinations(range(g.n), k):
-            if all(v in g.adj[u] for u, v in combinations(sub, 2)):
+            if all(v in adj[u] for u, v in combinations(sub, 2)):
                 return k
     return 0
 
@@ -60,6 +72,7 @@ def contains_induced_oracle(host: Graph, pattern: Graph) -> bool:
         return True
     if pn > hn:
         return False
+    p_adj, h_adj = adjacency(pattern), adjacency(host)
     mapping = [-1] * pn
     used = [False] * hn
 
@@ -71,8 +84,8 @@ def contains_induced_oracle(host: Graph, pattern: Graph) -> bool:
                 continue
             ok = True
             for j in range(i):
-                p_edge = j in pattern.adj[i]
-                h_edge = mapping[j] in host.adj[h]
+                p_edge = j in p_adj[i]
+                h_edge = mapping[j] in h_adj[h]
                 if p_edge != h_edge:
                     ok = False
                     break
@@ -93,12 +106,13 @@ def find_core_oracle(
 ) -> tuple[frozenset[int], ...] | None:
     """Enumerate all ways to pick b disjoint stable a-sets, cross-complete."""
     verts = list(range(g.n))
+    adj = adjacency(g)
 
     def stable(part: tuple[int, ...]) -> bool:
-        return all(v not in g.adj[u] for u, v in combinations(part, 2))
+        return all(v not in adj[u] for u, v in combinations(part, 2))
 
     def cross(p1: tuple[int, ...], p2: tuple[int, ...]) -> bool:
-        return all(v in g.adj[u] for u in p1 for v in p2)
+        return all(v in adj[u] for u in p1 for v in p2)
 
     def extend(parts: list[tuple[int, ...]], remaining: list[int]):
         if len(parts) == b:
@@ -131,6 +145,7 @@ def daisies_oracle(
     h_sets and blocks are indexed alike; petals must sit in a single
     block whose index differs from the root's template index.
     """
+    adj = adjacency(g)
     h_union: set[int] = set()
     owner: dict[int, int] = {}
     for i, h in enumerate(h_sets):
@@ -140,18 +155,18 @@ def daisies_oracle(
     found = []
     for u in sorted(h_union):
         i = owner[u]
-        for v in sorted(g.adj[u]):
+        for v in sorted(adj[u]):
             if v not in x or v in h_union:
                 continue
             for j, block in enumerate(blocks):
                 if j == i:
                     continue
                 cand = sorted(
-                    (block & x & g.adj[v]) - g.adj[u] - {u, v}
+                    (block & x & adj[v]) - adj[u] - {u, v}
                 )
                 for petals in combinations(cand, delta):
                     if all(
-                        q not in g.adj[p]
+                        q not in adj[p]
                         for p, q in combinations(petals, 2)
                     ):
                         found.append((u, v, frozenset(petals)))
@@ -160,6 +175,7 @@ def daisies_oracle(
 
 def distances_oracle(g: Graph, v: int) -> list[int]:
     """Single-source distances by repeated relaxation (no BFS reuse)."""
+    adj = adjacency(g)
     inf = g.n + 1
     dist = [inf] * g.n
     dist[v] = 0
@@ -167,7 +183,7 @@ def distances_oracle(g: Graph, v: int) -> list[int]:
     while changed:
         changed = False
         for u in range(g.n):
-            for w in g.adj[u]:
+            for w in adj[u]:
                 if dist[u] + 1 < dist[w]:
                     dist[w] = dist[u] + 1
                     changed = True

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .generators import erdos_renyi, plant_core
-from .graphs import Digraph, Graph, induced, is_stable
+from .graphs import Digraph, Graph, induced, is_stable, mask_of
 from .oracles import (
     chromatic_number_oracle,
     contains_induced_oracle,
@@ -164,8 +164,9 @@ def suite_private_cover(trials: int = 300, seed: int = 0) -> SuiteResult:
         b = frozenset(verts[sizes : sizes + b_size])
         # Patch the cover property: every b vertex needs an a neighbour.
         extra = []
+        a_mask = mask_of(a)
         for v in sorted(b):
-            if not g0.adj[v] & a:
+            if not g0.bits[v] & a_mask:
                 extra.append((v, rng.choice(sorted(a))))
         g = Graph(n, list(g0.edges()) + extra) if extra else g0
         d = rng.randint(0, 3)
@@ -206,7 +207,8 @@ def suite_stable_removal(trials: int = 200, seed: int = 0) -> SuiteResult:
             result.failures.append(f"trial {done}: chosen class not stable")
             done += 1
             continue
-        witness = max((len(g.adj[v] - x) for v in x), default=-1)
+        outside = ~mask_of(x)
+        witness = max(((g.bits[v] & outside).bit_count() for v in x), default=-1)
         if witness < d:
             result.failures.append(
                 f"trial {done}: best outside degree {witness} < {d}"

@@ -276,7 +276,7 @@ def color_bounded_outdegree(d: Digraph, bound: int) -> Coloring:
         return Coloring((), 0)
     topo = d.topological_order()
     if topo is not None:
-        order, nbrs = topo, [mask_of(s) for s in d.out]
+        order, nbrs = topo, d.out
     else:
         # Repeatedly remove a vertex of least remaining degree, lowest id
         # first; colouring in reverse sees at most 2*bound coloured

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, check_vertex_set, least_stable_subset
+from .graphs import (
+    Graph, check_vertex_set, least_stable_subset, lowest, mask_of, members, neighbors_of,
+)
 from .solvers import check_limit
 
 
@@ -66,24 +68,24 @@ def verify_embedding(host: Graph, pattern: PatternTree, emb: Embedding) -> bool:
         if not (0 <= p < pattern.tree.n):
             return False
         host.check_vertex(m[p])
+    pbits, hbits = pattern.tree.bits, host.bits
     for u in range(pattern.tree.n):
         for v in range(u + 1, pattern.tree.n):
-            if (v in pattern.tree.adj[u]) != (m[v] in host.adj[m[u]]):
+            if pbits[u] >> v & 1 != hbits[m[u]] >> m[v] & 1:
                 return False
     return True
 
 
 def _bfs_order(g: Graph, root: int) -> list[int]:
-    seen = {root}
+    seen = 1 << root
     order = [root]
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for w in sorted(g.adj[u]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
+        new = g.bits[u] & ~seen
+        seen |= new
+        order += members(new)
+        queue += members(new)
     return order
 
 
@@ -170,7 +172,7 @@ def contains_induced(
     parents = [-1] * pn
     children: list[list[int]] = [[] for _ in range(pn)]
     for i, p in enumerate(order):
-        for q in pattern.tree.adj[p]:
+        for q in members(pattern.tree.bits[p]):
             if pos[q] < i:
                 parents[i] = pos[q]
                 children[pos[q]].append(i)
@@ -188,9 +190,10 @@ def contains_induced(
             twin[c] = last.get(shape[c], -1)
             last[shape[c]] = c
     # fits[i]: the hosts whose degree reaches position i's pattern degree.
-    pdeg = [len(pattern.tree.adj[p]) for p in order]
+    pdeg = [pattern.tree.bits[p].bit_count() for p in order]
+    hbits = host.bits
     masks = {
-        d: sum(1 << h for h in range(host.n) if len(host.adj[h]) >= d)
+        d: sum(1 << h for h in range(host.n) if hbits[h].bit_count() >= d)
         for d in set(pdeg)
     }
     fits = [masks[d] for d in pdeg]
@@ -202,7 +205,6 @@ def contains_induced(
         for i in range(j, kids[-1] if kids else j):
             rest = [c for c in kids if c > i]
             opens[i].append((j, len(rest), masks[min(pdeg[c] for c in rest)]))
-    hbits = host.bits
     mapping = [-1] * pn
 
     def place(i: int, used: int, once: int, twice: int) -> bool:
@@ -270,35 +272,25 @@ def find_rooted_broom(
     if allowed & forbidden:
         raise ValueError("allowed and forbidden overlap")
     pattern = build_broom(k, leaves)
-    pool = allowed - {handle}
-
+    pool = mask_of(allowed) & ~(1 << handle)
     path = [handle]
 
-    def extend_path() -> Embedding | None:
-        if len(path) == k + 1:
-            return pick_leaves()
+    def extend_path(body: int) -> Embedding | None:
+        # body: the path so far as a mask.  The next path vertex, or a
+        # leaf at the far end, touches the tail and no other path vertex.
         tail = path[-1]
-        for v in sorted(host.adj[tail] & pool):
-            if v in path:
-                continue
-            # Induced path: the new vertex may touch only the current tail.
-            if any(v in host.adj[p] for p in path[:-1]):
-                continue
+        cand = host.bits[tail] & pool & ~body & ~neighbors_of(host, body ^ 1 << tail)
+        if len(path) == k + 1:
+            return pick_leaves(members(cand))
+        for v in members(cand):
             path.append(v)
-            result = extend_path()
+            result = extend_path(body | 1 << v)
             if result is not None:
                 return result
             path.pop()
         return None
 
-    def pick_leaves() -> Embedding | None:
-        far = path[-1]
-        body = set(path)
-        cand = sorted(
-            v
-            for v in host.adj[far] & pool
-            if v not in body and not any(v in host.adj[p] for p in path[:-1])
-        )
+    def pick_leaves(cand: list[int]) -> Embedding | None:
         picked = least_stable_subset(host, cand, leaves)
         if picked is None:
             return None
@@ -310,7 +302,7 @@ def find_rooted_broom(
         return emb
 
     try:
-        return extend_path()
+        return extend_path(1 << handle)
     finally:
         del extend_path  # break the closure's reference cycle
 
@@ -355,16 +347,16 @@ def assemble_T_delta(
         shapes.append((tag.length, tag.leaf_count))
         maps.append(m)
 
-    body_sets = [
-        frozenset(h for p, h in m.items() if p != pat.handle)
+    bodies = [
+        mask_of(h for p, h in m.items() if p != pat.handle)
         for (pat, _), m in zip(pieces, maps)
     ]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            overlap = body_sets[i] & body_sets[j]
+            overlap = bodies[i] & bodies[j]
             if overlap:
                 raise ValueError(
-                    f"pieces {i} and {j} overlap outside handle: {sorted(overlap)}"
+                    f"pieces {i} and {j} overlap outside handle: {members(overlap)}"
                 )
 
     leaf_counts = {leaves for _, leaves in shapes}
@@ -383,15 +375,14 @@ def assemble_T_delta(
 
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            for u in sorted(body_sets[i]):
-                for v in sorted(body_sets[j]):
-                    if v in host.adj[u]:
-                        return AssembleResult(
-                            None,
-                            None,
-                            conflict_edge=(u, v),
-                            detail=f"cross edge between pieces {i} and {j}",
-                        )
+            for u in members(bodies[i]):
+                if host.bits[u] & bodies[j]:
+                    return AssembleResult(
+                        None,
+                        None,
+                        conflict_edge=(u, lowest(host.bits[u] & bodies[j])),
+                        detail=f"cross edge between pieces {i} and {j}",
+                    )
 
     pattern = build_T(delta)
     assert pattern.broom_tags is not None

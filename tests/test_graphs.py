@@ -87,15 +87,32 @@ def test_graph_construction_rules():
     assert g.m == 1
     assert g == Graph(3, [(1, 0)])
     assert hash(g) == hash(Graph(3, [(0, 1)]))
+    # Equal from the same edges in any order or orientation; n counts.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+    g = Graph(4, edges)
+    for other in (Graph(4, edges[::-1]), Graph(4, [(v, u) for u, v in edges]),
+                  Graph(4, edges + [(v, u) for u, v in edges])):
+        assert other == g and hash(other) == hash(g) and other.m == 5
+    assert g != Graph(5, edges) and g.bits == Graph(5, edges).bits[:4]
+    assert g.bits == (0b1010, 0b1101, 0b1010, 0b0111)
+    assert list(g.edges()) == sorted(edges)
 
 
 def test_digraph_rules():
     with pytest.raises(ValueError):
         Digraph(2, [(1, 1)])
     d = Digraph(3, [(0, 1), (0, 1), (1, 2)])
-    assert sum(len(s) for s in d.out) == 2
+    assert sum(b.bit_count() for b in d.out) == 2
     assert d.topological_order() == [0, 1, 2]
     assert Digraph(2, [(0, 1), (1, 0)]).topological_order() is None
+    # Out-neighbourhoods are masks; parallel arcs collapse.
+    e = Digraph(4, [(2, 0), (0, 3), (0, 1), (0, 3), (3, 1), (2, 1)])
+    assert e.out == (0b1010, 0, 0b0011, 0b0010)
+    assert list(e.arcs()) == [(0, 1), (0, 3), (2, 0), (2, 1), (3, 1)]
+    assert e.max_outdegree() == 2 and Digraph(0).max_outdegree() == 0
+    same = Digraph(4, list(e.arcs())[::-1])
+    assert e == same and hash(e) == hash(same) and e != Digraph(5, e.arcs())
+    assert e.topological_order() == [2, 0, 3, 1]
 
 
 graphs = st.builds(

@@ -4,7 +4,7 @@ import pytest
 
 from broomlab.generators import FIXTURES
 from broomlab.graphs import Graph, induced
-from broomlab.oracles import daisies_oracle
+from broomlab.oracles import adjacency, daisies_oracle
 from broomlab.shadows import (
     Shadowing,
     build_shadowing,
@@ -243,10 +243,11 @@ def test_private_cover_random_sample():
         a = frozenset(verts[:na])
         nb = rng.randint(1, n - na - 1) if n - na > 1 else 1
         b = frozenset(verts[na : na + nb])
+        adj = adjacency(g0)
         extra = [
             (v, rng.choice(sorted(a)))
             for v in sorted(b)
-            if not g0.adj[v] & a
+            if not adj[v] & a
         ]
         g = Graph(n, list(g0.edges()) + extra) if extra else g0
         d = rng.randint(0, 3)
@@ -364,5 +365,6 @@ def test_stable_removal_witness_sample():
             continue
         assert is_stable(g, x)
         d = rng.randint(0, chi - 1)
-        assert max(len(g.adj[v] - x) for v in x) >= d
+        adj = adjacency(g)
+        assert max(len(adj[v] - x) for v in x) >= d
         done += 1

@@ -5,7 +5,7 @@ import pytest
 from broomlab import solvers
 from broomlab.generators import cycle, erdos_renyi
 from broomlab.graphs import Graph, induced, mask_of, neighborhood_closed, subset_view
-from broomlab.oracles import chromatic_number_oracle, clique_number_oracle
+from broomlab.oracles import adjacency, chromatic_number_oracle, clique_number_oracle
 from broomlab.solvers import (
     Coloring,
     InstanceTooLarge,
@@ -41,12 +41,13 @@ def test_clique_numbers(pet, k5):
     omega, witness = clique_number(pet)
     assert omega == 2
     # Independent check: triangle-freeness by edge enumeration.
+    adj = adjacency(pet)
     assert all(
-        not (pet.adj[u] & pet.adj[v]) for u in range(10) for v in pet.adj[u]
+        not (adj[u] & adj[v]) for u in range(10) for v in adj[u]
     )
     assert clique_number(k5) == (5, (0, 1, 2, 3, 4))
     assert clique_number(Graph(0)) == (0, ())
-    assert len(witness) == 2 and witness[1] in pet.adj[witness[0]]
+    assert len(witness) == 2 and witness[1] in adj[witness[0]]
 
 
 def test_clique_number_matches_subset_oracle():
@@ -60,7 +61,8 @@ def test_clique_number_matches_subset_oracle():
         omega, witness = clique_number(g)
         assert omega == clique_number_oracle(g)
         assert len(witness) == omega
-        assert all(v in g.adj[u] for u in witness for v in witness if u != v)
+        adj = adjacency(g)
+        assert all(v in adj[u] for u in witness for v in witness if u != v)
     assert clique_number(cases[0])[0] == 5
 
 
@@ -69,11 +71,12 @@ def dsatur_reference(g: Graph, k: int) -> tuple[int, ...] | None:
     uncoloured vertex with the most neighbour colours goes next (ties to
     the higher degree, then the lower id), colours in increasing order,
     at most one unused colour per decision."""
+    adj = adjacency(g)
     colors = [-1] * g.n
 
     def priority(u: int) -> tuple[int, int, int]:
-        saturation = len({colors[w] for w in g.adj[u]} - {-1})
-        return saturation, len(g.adj[u]), -u
+        saturation = len({colors[w] for w in adj[u]} - {-1})
+        return saturation, len(adj[u]), -u
 
     def solve(used: int) -> bool:
         free = [u for u in range(g.n) if colors[u] == -1]
@@ -81,7 +84,7 @@ def dsatur_reference(g: Graph, k: int) -> tuple[int, ...] | None:
             return True
         v = max(free, key=priority)
         for c in range(min(used + 1, k)):
-            if all(colors[w] != c for w in g.adj[v]):
+            if all(colors[w] != c for w in adj[v]):
                 colors[v] = c
                 if solve(max(used, c + 1)):
                     return True
@@ -176,17 +179,18 @@ def greedy_reference(g: Graph) -> tuple[int, ...]:
     """DSATUR greedy over colour sets: the uncoloured vertex with the
     most distinct neighbour colours goes next (ties to the higher degree,
     then the lower id) and takes the lowest colour no neighbour has."""
+    adj = adjacency(g)
     colors = [-1] * g.n
     for _ in range(g.n):
         best = None
         for u in range(g.n):
             if colors[u] != -1:
                 continue
-            key = (len({colors[w] for w in g.adj[u]} - {-1}), len(g.adj[u]), -u)
+            key = (len({colors[w] for w in adj[u]} - {-1}), len(adj[u]), -u)
             if best is None or key > best[0]:
                 best = (key, u)
         v = best[1]
-        taken = {colors[w] for w in g.adj[v]}
+        taken = {colors[w] for w in adj[v]}
         colors[v] = min(c for c in range(g.n) if c not in taken)
     return tuple(colors)
 
@@ -253,9 +257,10 @@ def test_chi_of_set_matches_induced_subgraph():
         elif kind == 1:
             verts = frozenset({rng.randrange(g.n)})
         elif kind == 2:  # a greedy stable set
+            adj = adjacency(g)
             picked = set()
             for v in rng.sample(range(g.n), g.n):
-                if not g.adj[v] & picked:
+                if not adj[v] & picked:
                     picked.add(v)
             verts = frozenset(picked)
         else:
@@ -285,8 +290,9 @@ def test_view_colouring_matches_induced_subgraph():
         sub, back = induced(g, verts)
         assert ids == list(back) and view.bits == sub.bits
         assert greedy_coloring(view).colors == greedy_coloring(sub).colors
-        host_rank = sorted(verts, key=lambda u: (-len(g.adj[u]), u))
-        differ += host_rank != sorted(verts, key=lambda u: (-len(g.adj[u] & set(verts)), u))
+        adj = adjacency(g)
+        host_rank = sorted(verts, key=lambda u: (-len(adj[u]), u))
+        differ += host_rank != sorted(verts, key=lambda u: (-len(adj[u] & set(verts)), u))
     assert differ > 100  # host degrees would often rank differently
 
 

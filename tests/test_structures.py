@@ -4,7 +4,7 @@ import pytest
 
 from broomlab.generators import erdos_renyi, plant_core
 from broomlab.graphs import Graph, induced, mask_of, members
-from broomlab.oracles import find_core_oracle
+from broomlab.oracles import adjacency, find_core_oracle
 from broomlab.solvers import InstanceTooLarge
 from broomlab.structures import (
     CoreWitness,
@@ -123,19 +123,19 @@ def test_dense_and_mixed(c4):
     assert not is_dense_to(two_each, 4, core, 2)  # alpha=2 needs two per part
 
 
-def _dense_ref(g, v, core, alpha):
-    return all(len(g.adj[v] & part) >= alpha for part in core.parts)
+def _dense_ref(adj, v, core, alpha):
+    return all(len(adj[v] & part) >= alpha for part in core.parts)
 
 
-def _mixed_ref(g, v, core, eta, alpha):
+def _mixed_ref(adj, v, core, eta, alpha):
     if v in core.vertices():
         return True
-    if _dense_ref(g, v, core, alpha):
+    if _dense_ref(adj, v, core, alpha):
         return False
-    return any(len(g.adj[v] & part) >= eta for part in core.parts)
+    return any(len(adj[v] & part) >= eta for part in core.parts)
 
 
-def _verify_ref(g, core, a, b):
+def _verify_ref(adj, core, a, b):
     if core.b != b or any(len(p) != a for p in core.parts):
         return False
     seen = set()
@@ -143,10 +143,10 @@ def _verify_ref(g, core, a, b):
         if p & seen:
             return False
         seen |= p
-        if any(v in g.adj[u] for u in p for v in p):
+        if any(v in adj[u] for u in p for v in p):
             return False
     return all(
-        core.parts[j] <= g.adj[u]
+        core.parts[j] <= adj[u]
         for i in range(b)
         for j in range(i + 1, b)
         for u in core.parts[i]
@@ -182,26 +182,27 @@ def test_density_and_core_checks_match_set_reference():
         n = rng.randint(1, 14)
         g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32))
         core = _random_witness(rng, g)
+        adj = adjacency(g)
         part_counts.add(core.b)
         for a in {core.a, 1, 2}:
             for b in {core.b, 2, 3}:
                 got = verify_core(g, core, a, b)
-                assert got == _verify_ref(g, core, a, b), (g.sorted_edges(), core, a, b)
+                assert got == _verify_ref(adj, core, a, b), (g.sorted_edges(), core, a, b)
                 verdicts.add(("core", got))
         for alpha in (1, 2, 3):
             for eta in (1, 2, 3):
                 dense, mixed = density_masks(g, core, alpha, eta)
                 for v in range(n):
                     inside = v in core.vertices()
-                    want = not inside and _dense_ref(g, v, core, alpha)
+                    want = not inside and _dense_ref(adj, v, core, alpha)
                     assert bool(dense >> v & 1) == want, (g.sorted_edges(), core, v)
-                    want = _mixed_ref(g, v, core, eta, alpha)
+                    want = _mixed_ref(adj, v, core, eta, alpha)
                     assert bool(mixed >> v & 1) == want, (g.sorted_edges(), core, v)
                     assert is_eta_mixed(g, v, core, eta, alpha) == want
                     verdicts.add(("mixed", inside, want))
                     if not inside:
                         got = is_dense_to(g, v, core, alpha)
-                        assert got == _dense_ref(g, v, core, alpha)
+                        assert got == _dense_ref(adj, v, core, alpha)
                         verdicts.add(("dense", got))
                 assert not (dense | mixed) >> n  # no bits past the graph
     assert part_counts == {0, 1, 2, 3}

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from broomlab.graphs import Graph, induced
-from broomlab.oracles import contains_induced_oracle
+from broomlab.oracles import adjacency, contains_induced_oracle
 from broomlab.solvers import InstanceTooLarge
 from broomlab.trees import (
     PatternTree,
@@ -23,7 +23,7 @@ from conftest import random_graph
 
 
 def is_path_graph(g: Graph) -> bool:
-    degs = sorted(len(g.adj[v]) for v in range(g.n))
+    degs = sorted(len(s) for s in adjacency(g))
     return g.m == g.n - 1 and degs.count(1) == 2 and degs[-1] <= 2
 
 
@@ -34,7 +34,7 @@ def test_build_broom():
     assert b.tree.n == 4 and is_path_graph(b.tree)
     b = build_broom(2, 3)
     assert b.tree.n == 6
-    assert len(b.tree.adj[2]) == 4  # far end of the two-edge path
+    assert len(adjacency(b.tree)[2]) == 4  # far end of the two-edge path
     with pytest.raises(ValueError):
         build_broom(0, 2)
 
@@ -45,8 +45,9 @@ def test_build_multibroom():
     assert build_multibroom([(1, 0)]).tree.n == 2
     double = build_multibroom([(1, 2), (1, 2)])
     assert double.tree.n == 7
-    assert len(double.tree.adj[0]) == 2  # the shared handle joins two stars
-    assert sorted(len(double.tree.adj[v]) for v in range(7)) == [1, 1, 1, 1, 2, 3, 3]
+    adj = adjacency(double.tree)
+    assert len(adj[0]) == 2  # the shared handle joins two stars
+    assert sorted(len(s) for s in adj) == [1, 1, 1, 1, 2, 3, 3]
     with pytest.raises(ValueError):
         build_multibroom([])
 
@@ -56,7 +57,7 @@ def test_build_T_sizes():
         t = build_T(delta)
         assert t.tree.n == 1 + delta * (2 * delta + 3)
     assert is_path_graph(build_T(1).tree)
-    assert len(build_T(2).tree.adj[0]) == 4
+    assert len(adjacency(build_T(2).tree)[0]) == 4
     with pytest.raises(ValueError):
         build_T(0)
 
@@ -103,9 +104,10 @@ def least_embedding_brute(host: Graph, pattern: PatternTree) -> dict | None:
     vertices in BFS order from the handle (neighbours in increasing id):
     host ids are tried in increasing order and every pair of placed
     vertices is compared, adjacency for adjacency."""
+    p_adj, h_adj = adjacency(pattern.tree), adjacency(host)
     order = [pattern.handle]
     for p in order:
-        order += [q for q in sorted(pattern.tree.adj[p]) if q not in order]
+        order += [q for q in sorted(p_adj[p]) if q not in order]
     images: list[int] = []
 
     def extend() -> bool:
@@ -116,7 +118,7 @@ def least_embedding_brute(host: Graph, pattern: PatternTree) -> dict | None:
             if h in images:
                 continue
             if all(
-                (order[j] in pattern.tree.adj[order[i]]) == (images[j] in host.adj[h])
+                (order[j] in p_adj[order[i]]) == (images[j] in h_adj[h])
                 for j in range(i)
             ):
                 images.append(h)
