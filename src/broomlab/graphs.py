@@ -93,7 +93,7 @@ class Digraph:
         return max((b.bit_count() for b in self.out), default=0)
 
     def underlying_graph(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, v in self.arcs()))
+        return Graph(self.n, self.arcs())
 
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; ``None`` when a directed cycle exists.

@@ -281,7 +281,7 @@ def color_bounded_outdegree(d: Digraph, bound: int) -> Coloring:
         # Repeatedly remove a vertex of least remaining degree, lowest id
         # first; colouring in reverse sees at most 2*bound coloured
         # neighbours at each vertex.
-        nbrs = list(d.underlying_graph().bits)
+        nbrs = d.underlying_graph().bits
         order, alive = [], (1 << n) - 1
         while alive:
             v = min(members(alive), key=lambda x: (nbrs[x] & alive).bit_count())

@@ -11,7 +11,6 @@ vertex still has enough hosts left for its children.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import (
@@ -79,13 +78,10 @@ def verify_embedding(host: Graph, pattern: PatternTree, emb: Embedding) -> bool:
 def _bfs_order(g: Graph, root: int) -> list[int]:
     seen = 1 << root
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    for u in order:  # the list is the queue
         new = g.bits[u] & ~seen
         seen |= new
         order += members(new)
-        queue += members(new)
     return order
 
 
@@ -376,11 +372,12 @@ def assemble_T_delta(
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             for u in members(bodies[i]):
-                if host.bits[u] & bodies[j]:
+                hit = host.bits[u] & bodies[j]
+                if hit:
                     return AssembleResult(
                         None,
                         None,
-                        conflict_edge=(u, lowest(host.bits[u] & bodies[j])),
+                        conflict_edge=(u, lowest(hit)),
                         detail=f"cross edge between pieces {i} and {j}",
                     )
 
