@@ -131,12 +131,19 @@ def _dump(payload: dict, out: str | None) -> None:
     _emit(render_json(payload) + "\n", out)
 
 
-def _load_graph(args) -> Graph:
-    return read_graph(args.graph, args.format)
+def _load(args) -> tuple[Graph, Params, dict]:
+    """The graph and params of a command that reads a graph, and the
+    ``tool``/``instance`` head its payload starts with."""
+    g = read_graph(args.graph, args.format)
+    head = {
+        "tool": {"name": "broomlab", "version": __version__},
+        "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
+    }
+    return g, _params_from_args(args), head
 
 
-def _tag(value, provenance: str = "exact") -> dict:
-    return {"value": value, "provenance": provenance}
+def _tag(value) -> dict:
+    return {"value": value, "provenance": "exact"}
 
 
 def cmd_gen(args) -> int:
@@ -149,8 +156,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args)
-    p = _params_from_args(args)
+    g, p, head = _load(args)
     limit = args.solver_limit
     omega, omega_witness = clique_number(g, limit=limit)
     chi, _ = _chromatic_given_omega(g, omega)
@@ -166,8 +172,7 @@ def cmd_analyze(args) -> int:
         best_core = {"a": a, "b": p.beta, "parts": [sorted(x) for x in found.parts]}
         a += 1
     report = {
-        "tool": {"name": "broomlab", "version": __version__},
-        "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
+        **head,
         "params": p.as_dict(),
         "results": {
             "omega": _tag(omega),
@@ -184,29 +189,21 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    g = _load_graph(args)
-    p = _params_from_args(args)
+    g, p, head = _load(args)
     started = time.perf_counter()
     trace = run_pipeline(g, p, limit=args.solver_limit)
     elapsed = time.perf_counter() - started
     print(f"pipeline completed in {elapsed:.3f}s", file=sys.stderr)
-    payload = {
-        "tool": {"name": "broomlab", "version": __version__},
-        "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
-        "params": p.as_dict(),
-        "trace": trace.to_json_dict(),
-    }
+    payload = {**head, "params": p.as_dict(), "trace": trace.to_json_dict()}
     _dump(payload, args.out)
     return 0
 
 
 def cmd_audit(args) -> int:
-    g = _load_graph(args)
-    p = _params_from_args(args)
+    g, p, head = _load(args)
     trace = run_pipeline(g, p, limit=args.solver_limit)
     payload = {
-        "tool": {"name": "broomlab", "version": __version__},
-        "instance": {"graph": str(args.graph), "n": g.n, "m": g.m},
+        **head,
         "audit": trace.audit.to_json_dict(),
         "strong_triples": trace.strong_triples.to_json_dict(),
         "leftover_core_free": trace.leftover_core_free,
@@ -216,12 +213,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    started = time.perf_counter()
     result = run_suite(args.suite, trials=args.trials, seed=args.seed)
-    elapsed = time.perf_counter() - started
     print(
         f"suite {args.suite}: {result.trials} trials, "
-        f"{len(result.failures)} failures in {elapsed:.3f}s",
+        f"{len(result.failures)} failures in {result.elapsed:.3f}s",
         file=sys.stderr,
     )
     payload = {

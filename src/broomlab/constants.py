@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import json
 from dataclasses import dataclass
 from types import CodeType
 from typing import TYPE_CHECKING, Callable
@@ -74,9 +73,6 @@ class ConstantsLedger:
                 item["truncated"] = True
             out["entries"].append(item)
         return out
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, **kw)
 
 
 def _pow(base: int | PowerSum, exp: int | PowerSum) -> int | PowerSum:
@@ -292,8 +288,8 @@ def reevaluate(lg: ConstantsLedger) -> dict[str, int | PowerSum]:
     return out
 
 
-# One composable bound-transform per pipeline step: the step's bound
-# function is psi(transform(c)) where psi comes from the previous step.
+# One composable bound-transform per pipeline step; ``compose_phi``
+# chains them in pipeline order.
 PHI_STEPS: dict[str, Callable[..., int]] = {
     "extract": lambda c, *, theta_zeta: c + theta_zeta,
     "partial_clean1": lambda c, *, t: (2 * t + 1) * c,
@@ -313,16 +309,14 @@ PIPELINE_STEP_ORDER = (
 )
 
 
-def phi_step(
-    theorem: str, c: int, psi: Callable[[int], int] | None = None, **consts
-) -> int:
-    """Apply one bound-composition step; psi defaults to the identity."""
+def phi_step(theorem: str, c: int, **consts) -> int:
+    """Apply one bound-composition step to ``c``; ``compose_phi`` feeds
+    each step's result to the next."""
     if theorem not in PHI_STEPS:
         raise ValueError(f"unknown bound step {theorem!r}")
     if c < 0:
         raise ValueError("argument must be nonnegative")
-    inner = PHI_STEPS[theorem](c, **consts)
-    return inner if psi is None else psi(inner)
+    return PHI_STEPS[theorem](c, **consts)
 
 
 def compose_phi(p: Params, lg: ConstantsLedger | None = None) -> Callable[[int], int]:

@@ -1,7 +1,7 @@
-"""Edge-list and DIMACS col readers and writers.
+"""Edge-list and DIMACS col readers, and ``render_graph``, the one writer.
 
-Canonical output sorts edges and uses LF line endings, so a write
-followed by a read and a second write is byte-identical.  DIMACS is
+Canonical output sorts edges and uses LF line endings, so a render
+followed by a read and a second render is byte-identical.  DIMACS is
 1-indexed on the wire and converted to 0-indexed here, in one place.
 """
 
@@ -19,11 +19,34 @@ class GraphParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+def _add_edge(
+    parts: list[str], base: int, n: int, seen: dict, path: str, line_no: int
+) -> None:
+    """Check one edge line's endpoints, numbered from ``base`` in the
+    file, and record the edge 0-based in ``seen`` with its line.  Every
+    message names vertices as the file numbers them."""
+    try:
+        u, v = int(parts[0]) - base, int(parts[1]) - base
+    except ValueError:
+        raise GraphParseError(path, line_no, "edge endpoints must be integers")
+    if u == v:
+        raise GraphParseError(path, line_no, f"self-loop at {u + base}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphParseError(
+            path, line_no, f"endpoint out of range {base}..{n - 1 + base}"
+        )
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise GraphParseError(
+            path, line_no, f"edge {u + base} {v + base} repeats line {seen[key]}"
+        )
+    seen[key] = line_no
+
+
 def _parse_edgelist(text: str, path: str) -> Graph:
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
-    first_seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -39,34 +62,19 @@ def _parse_edgelist(text: str, path: str) -> Graph:
             continue
         if len(parts) != 2:
             raise GraphParseError(path, line_no, "edge line must be 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(path, line_no, "edge endpoints must be integers")
-        if u == v:
-            raise GraphParseError(path, line_no, f"self-loop at {u}")
-        if n is not None and not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(path, line_no, f"endpoint out of range 0..{n - 1}")
-        key = (min(u, v), max(u, v))
-        if key in first_seen:
-            raise GraphParseError(
-                path, line_no, f"edge {u} {v} repeats line {first_seen[key]}"
-            )
-        first_seen[key] = line_no
-        edges.append((u, v))
+        _add_edge(parts, 0, n, seen, path, line_no)
     if n is None:
         raise GraphParseError(path, 1, "missing 'n m' header")
-    if m is not None and len(edges) != m:
+    if len(seen) != m:
         raise GraphParseError(
-            path, 1, f"header promises {m} edges, file has {len(edges)}"
+            path, 1, f"header promises {m} edges, file has {len(seen)}"
         )
-    return Graph(n, edges)
+    return Graph(n, seen)
 
 
 def _parse_dimacs(text: str, path: str) -> Graph:
     n = None
-    edges: list[tuple[int, int]] = []
-    first_seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}
     declared = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,28 +93,13 @@ def _parse_dimacs(text: str, path: str) -> Graph:
                 raise GraphParseError(path, line_no, "edge before problem line")
             if len(parts) != 3:
                 raise GraphParseError(path, line_no, "edge line must be 'e u v'")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise GraphParseError(path, line_no, "edge endpoints must be integers")
-            if u == v:
-                raise GraphParseError(path, line_no, f"self-loop at {u + 1}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphParseError(path, line_no, f"endpoint out of range 1..{n}")
-            key = (min(u, v), max(u, v))
-            if key in first_seen:
-                first = first_seen[key]
-                raise GraphParseError(
-                    path, line_no, f"edge {u + 1} {v + 1} repeats line {first}"
-                )
-            first_seen[key] = line_no
-            edges.append((u, v))
+            _add_edge(parts[1:], 1, n, seen, path, line_no)
         else:
             raise GraphParseError(path, line_no, f"unknown record {parts[0]!r}")
     if n is None:
         raise GraphParseError(path, 1, "missing problem line")
-    g = Graph(n, edges)
-    if declared is not None and g.m != declared:
+    g = Graph(n, seen)
+    if g.m != declared:
         raise GraphParseError(
             path, 1, f"problem line promises {declared} edges, file has {g.m}"
         )
@@ -135,9 +128,3 @@ def render_graph(g: Graph, fmt: str = "edgelist") -> str:
         lines += [f"e {u + 1} {v + 1}" for u, v in edges]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def write_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
-    p = Path(path)
-    kind = fmt or ("dimacs" if p.suffix == ".col" else "edgelist")
-    p.write_text(render_graph(g, kind), newline="\n")

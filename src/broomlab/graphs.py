@@ -117,9 +117,6 @@ class Digraph:
             return None
         return order
 
-    def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Digraph)
@@ -278,7 +275,3 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True when every two members are adjacent; empty and singleton pass."""
     m = mask_of(check_vertex_set(g, s))
     return all(not m & ~g.bits[u] & ~(1 << u) for u in members(m))
-
-
-def connected_component(g: Graph, v: int) -> frozenset[int]:
-    return neighborhood_closed(g, v, g.n)

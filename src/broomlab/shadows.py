@@ -66,40 +66,16 @@ def validate_shadowing(arr: TemplateArray, s: Shadowing) -> list[str]:
     return problems
 
 
-def build_shadowing(arr: TemplateArray, strategy: str = "least_index") -> Shadowing:
-    """Partition U into per-template blocks.
-
-    ``least_index`` sends each vertex to the first template it touches.
-    ``high_degree`` sends each vertex to the first template where its
-    neighbour count is maximal, which realizes the heavy-attachment
-    shadowing; the choice is validated against its defining constraint
-    for vertices with at least (beta+1)*gamma*delta H neighbours.
-    """
-    g, p = arr.graph, arr.params
+def build_shadowing(arr: TemplateArray) -> Shadowing:
+    """Partition U into per-template blocks: each vertex goes to the
+    first template it touches (the least-index shadowing)."""
+    g = arr.graph
     n = arr.size
     hs = arr.h_masks()
     blocks: list[set[int]] = [set() for _ in range(n)]
-    if strategy == "least_index":
-        for u in members(arr.umask):
-            i = min(i for i in range(n) if g.bits[u] & hs[i])
-            blocks[i].add(u)
-    elif strategy == "high_degree":
-        from .constants import epsilon_of
-
-        eps = epsilon_of(p)
-        need = (p.beta + 1) * p.delta
-        for u in members(arr.umask):
-            counts = [(g.bits[u] & hs[i]).bit_count() for i in range(n)]
-            best = max(counts)
-            i = counts.index(best)
-            blocks[i].add(u)
-            if sum(counts) >= eps and best < need:
-                raise ValueError(
-                    f"vertex {u} has {sum(counts)} H neighbours but no "
-                    f"template with {need} of them"
-                )
-    else:
-        raise ValueError(f"unknown shadowing strategy {strategy!r}")
+    for u in members(arr.umask):
+        i = min(i for i in range(n) if g.bits[u] & hs[i])
+        blocks[i].add(u)
     return Shadowing(tuple(frozenset(b) for b in blocks))
 
 
@@ -140,12 +116,7 @@ class Daisy:
         }
 
 
-def validate_daisy(
-    arr: TemplateArray,
-    s: Shadowing,
-    d: Daisy,
-    x: frozenset[int] | None = None,
-) -> list[str]:
+def validate_daisy(arr: TemplateArray, s: Shadowing, d: Daisy) -> list[str]:
     g, p = arr.graph, arr.params
     problems = []
     if len(d.petals) != p.delta:
@@ -158,8 +129,6 @@ def validate_daisy(
         problems.append("petal block equals root template")
     if not d.petals <= s.blocks[d.petal_index]:
         problems.append("petals leave their block")
-    if x is not None and not (d.petals | {d.eye}) <= x:
-        problems.append("daisy leaves the restriction set")
     if mask_of(d.petals | {d.eye}) & arr.h_mask:
         problems.append("eye or petal inside H")
     bits = g.bits
@@ -201,10 +170,7 @@ def find_daisy(
 
 
 def validate_bunch(
-    arr: TemplateArray,
-    s: Shadowing,
-    daisies: tuple[Daisy, ...],
-    x: frozenset[int] | None = None,
+    arr: TemplateArray, s: Shadowing, daisies: tuple[Daisy, ...]
 ) -> list[str]:
     g = arr.graph
     problems = []
@@ -217,7 +183,7 @@ def validate_bunch(
     elif root_indices & set(block_ids):
         problems.append("root template index collides with a petal block")
     for d in daisies:
-        problems += validate_daisy(arr, s, d, x)
+        problems += validate_daisy(arr, s, d)
     for a, b in combinations(daisies, 2):
         problems += _interference(g, a, b)
     return problems
@@ -239,25 +205,23 @@ def _interference(g: Graph, a: Daisy, b: Daisy) -> list[str]:
 
 
 def find_bunch(
-    arr: TemplateArray,
-    s: Shadowing,
-    count: int,
-    x: frozenset[int] | None = None,
+    arr: TemplateArray, s: Shadowing, count: int
 ) -> tuple[Daisy, ...] | None:
-    """Search for ``count`` daisies with distinct petal blocks, a common
-    root template not among those blocks, and full pairwise separation."""
+    """Search for ``count`` daisies with eyes and petals in U, distinct
+    petal blocks, a common root template not among those blocks, and
+    full pairwise separation."""
     if count < 1:
         raise ValueError("count must be positive")
     g, p = arr.graph, arr.params
     bits = g.bits
-    xm = arr.umask if x is None else mask_of(check_vertex_set(g, x)) & arr.umask
+    umask = arr.umask
     owner = _owners(s.blocks)
     n = arr.size
 
     def daisies_for(i: int, j: int) -> list[Daisy]:
         out = []
-        for eye in members(xm):
-            cand_all = [q for q in members(bits[eye] & xm) if owner.get(q) == j]
+        for eye in members(umask):
+            cand_all = [q for q in members(bits[eye] & umask) if owner.get(q) == j]
             for root in members(bits[eye] & arr.templates[i].hmask):
                 cand = [q for q in cand_all if not bits[root] >> q & 1]
                 for petals in combinations(cand, p.delta):
@@ -266,7 +230,7 @@ def find_bunch(
         return out
 
     for i in range(n):
-        blocks = [j for j in range(n) if j != i and mask_of(s.blocks[j]) & xm]
+        blocks = [j for j in range(n) if j != i and mask_of(s.blocks[j]) & umask]
         if len(blocks) < count:
             continue
         chosen: list[Daisy] = []

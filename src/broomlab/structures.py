@@ -402,27 +402,6 @@ class ConditionReport:
             and self.no_forbidden_core
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "t_free": self.t_free,
-            "chi2": self.chi2,
-            "chi2_ok": self.chi2_ok,
-            "matching_covered": {
-                "status": self.matching_covered.status,
-                "violating_set": sorted(self.matching_covered.violating_set)
-                if self.matching_covered.violating_set
-                else None,
-                "subsets_checked": self.matching_covered.subsets_checked,
-            },
-            "core_threshold_ok": self.core_threshold_ok,
-            "core_threshold_details": [
-                {"a": a, "chi_exceeds": ex, "core_found": found}
-                for a, ex, found in self.core_threshold_details
-            ],
-            "no_forbidden_core": self.no_forbidden_core,
-            "all_ok": self.all_ok,
-        }
-
 
 def check_conditions(
     g: Graph,

@@ -40,6 +40,10 @@ ATTEMPTS_PER_TRIAL = 10
 
 @dataclass
 class SuiteResult:
+    """One suite run.  ``elapsed`` is its wall time in seconds: it stays
+    out of the JSON, but ``lemma-check`` prints it to stderr and
+    acceptance criteria 1, 4 and 7 gate on it."""
+
     name: str
     trials: int
     failures: list[str] = field(default_factory=list)

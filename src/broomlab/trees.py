@@ -251,22 +251,16 @@ def find_rooted_broom(
     k: int,
     leaves: int,
     allowed: frozenset[int],
-    forbidden: frozenset[int] = frozenset(),
     limit: int | None = None,
 ) -> Embedding | None:
     """Induced (k, leaves)-broom with a fixed handle.
 
-    All non-handle vertices come from ``allowed``; nothing may touch
-    ``forbidden``.  Lowest-id choices first.
+    All non-handle vertices come from ``allowed``; vertices outside it
+    may touch the broom.  Lowest-id choices first.
     """
     check_limit("find_rooted_broom", host.n, limit)
     host.check_vertex(handle)
     allowed = check_vertex_set(host, allowed)
-    forbidden = check_vertex_set(host, forbidden)
-    if handle in forbidden:
-        raise ValueError("handle may not be forbidden")
-    if allowed & forbidden:
-        raise ValueError("allowed and forbidden overlap")
     pattern = build_broom(k, leaves)
     pool = mask_of(allowed) & ~(1 << handle)
     path = [handle]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from broomlab.graphs import (
     Digraph,
     Graph,
-    connected_component,
     induced,
     is_clique,
     is_stable,
@@ -136,7 +135,9 @@ def test_ball_recurrence(g, k):
             assert closed == closed_prev | exact
     # The ball sequence stabilizes at the connected component.
     for v in range(g.n):
-        assert neighborhood_closed(g, v, g.n) == connected_component(g, v)
+        dist = distances_oracle(g, v)
+        component = {u for u in range(g.n) if dist[u] <= g.n}
+        assert neighborhood_closed(g, v, g.n) == component
 
 
 @settings(max_examples=40, derandomize=True)

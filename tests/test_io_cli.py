@@ -5,12 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from broomlab.cli import _params_from_args, build_parser, main, render_json
 from broomlab.generators import petersen
-from broomlab.graph_io import (
-    GraphParseError,
-    read_graph,
-    render_graph,
-    write_graph,
-)
+from broomlab.graph_io import GraphParseError, read_graph, render_graph
 from broomlab.graphs import Graph
 
 
@@ -33,30 +28,40 @@ def test_round_trip_identity(tmp_path):
     g = petersen()
     for fmt, name in (("edgelist", "p.edges"), ("dimacs", "p.col")):
         f = tmp_path / name
-        write_graph(g, f, fmt)
+        f.write_text(render_graph(g, fmt), newline="\n")
         first = f.read_bytes()
         again = read_graph(f, fmt)
         assert again == g
-        write_graph(again, f, fmt)
+        f.write_text(render_graph(again, fmt), newline="\n")
         assert f.read_bytes() == first
 
 
 def test_parse_errors_name_lines(tmp_path):
+    # Full texts: edge lines name vertices as the file numbers them,
+    # 0-based in an edge list and 1-based in DIMACS.
     cases = [
-        ("bad.col", "p edge 3 1\ne 1 1\n", "self-loop"),
-        ("bad2.col", "e 1 2\n", "before problem"),
-        ("bad3.col", "p edge 2 1\ne 1 5\n", "out of range"),
-        ("bad4.col", "p edge 2 1\nq 1 2\n", "unknown record"),
-        ("bad5.col", "p edge 2 2\ne 1 2\n", "promises"),
-        ("bad6.edges", "2\n", "header"),
-        ("bad7.edges", "2 1\n0 0\n", "self-loop"),
+        ("bad.col", "p edge 3 1\ne 1 1\n", 2, "self-loop at 1"),
+        ("bad2.col", "e 1 2\n", 1, "edge before problem line"),
+        ("bad3.col", "p edge 2 1\ne 1 5\n", 2, "endpoint out of range 1..2"),
+        ("bad4.col", "p edge 2 1\nq 1 2\n", 2, "unknown record 'q'"),
+        ("bad5.col", "p edge 2 2\ne 1 2\n", 1,
+         "problem line promises 2 edges, file has 1"),
+        ("bad6.edges", "2\n", 1, "header must be 'n m'"),
+        ("bad7.edges", "2 1\n0 0\n", 2, "self-loop at 0"),
+        ("int.edges", "2 1\n0 x\n", 2, "edge endpoints must be integers"),
+        ("range.edges", "2 1\n0 2\n", 2, "endpoint out of range 0..1"),
+        ("dup.edges", "3 2\n0 1\n1 0\n", 3, "edge 1 0 repeats line 2"),
+        ("int.col", "p edge 2 1\ne 1 x\n", 2, "edge endpoints must be integers"),
+        ("range.col", "p edge 2 1\ne 0 1\n", 2, "endpoint out of range 1..2"),
+        ("dup.col", "p edge 2 1\ne 1 2\ne 2 1\n", 3, "edge 2 1 repeats line 2"),
     ]
-    for name, text, fragment in cases:
+    for name, text, line_no, message in cases:
         f = tmp_path / name
         f.write_text(text)
         with pytest.raises(GraphParseError) as err:
             read_graph(f)
-        assert fragment in str(err.value)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"{f}:{line_no}: {message}"
 
 
 def test_edgelist_rejects_repeated_edges(tmp_path):
@@ -243,7 +248,7 @@ def test_cli_searches_omega_once(tmp_path, monkeypatch):
     assert rows[1].startswith("pet,fixture,10,2,3,")
 
     graph_file = tmp_path / "pet.edges"
-    write_graph(petersen(), graph_file, "edgelist")
+    graph_file.write_text(render_graph(petersen()))
     seen.clear()
     assert run_cli("analyze", "--graph", str(graph_file),
                    "--out", str(tmp_path / "report.json")) == 0
@@ -259,7 +264,7 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("not a header\n")
     assert run_cli("analyze", "--graph", str(bad)) == 2
     big = tmp_path / "big.edges"
-    write_graph(Graph(70, [(i, i + 1) for i in range(69)]), big)
+    big.write_text(render_graph(Graph(70, [(i, i + 1) for i in range(69)])))
     assert run_cli("analyze", "--graph", str(big)) == 3
     assert run_cli("analyze", "--graph", str(big), "--solver-limit", "70") == 0
 

@@ -76,7 +76,7 @@ def test_color_bounded_outdegree_random_sample():
         d = Digraph(n, arcs)
         col = color_bounded_outdegree(d, bound)
         assert validate_coloring(d.underlying_graph(), col)
-        cap = bound + 1 if d.is_acyclic() else 2 * bound + 1
+        cap = bound + 1 if d.topological_order() is not None else 2 * bound + 1
         assert col.palette_size <= cap
 
 
