@@ -9,6 +9,7 @@ when it needs one of them, so importing broomlab does not compile it.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Callable
 
@@ -24,6 +25,7 @@ class UndecidedComparison(ArithmeticError):
     precision.  Raised instead of a guess."""
 
 
+@functools.total_ordering
 class PowerSum:
     """The exact positive integer ``sum(c * b**e for b, e, c in terms) + offset``.
 
@@ -94,21 +96,6 @@ class PowerSum:
     def __lt__(self, other):
         if isinstance(other, (int, PowerSum)):
             return _compare(self, other) < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, PowerSum)):
-            return _compare(self, other) <= 0
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, PowerSum)):
-            return _compare(self, other) > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, PowerSum)):
-            return _compare(self, other) >= 0
         return NotImplemented
 
     def bit_length(self) -> int:

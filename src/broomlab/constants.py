@@ -99,19 +99,38 @@ def dense_bound_of(p: Params) -> int:
     return p.alpha * p.tau * 2 ** (p.beta * p.zeta)
 
 
-def strong_s_of(p: Params) -> int:
+def partial2_d_of(p: Params) -> int:
+    return gamma_of(p) * (p.delta - 1)
+
+
+def clean2_t_of(p: Params) -> int:
+    return (partial2_d_of(p) + 1) * p.beta * p.zeta * p.tau
+
+
+def _strong_chain(p: Params) -> tuple[int, int, int, int]:
+    """``strong_contacts`` s3, s2, s1 and s."""
     g = gamma_of(p)
     s3 = 2 * p.delta * p.tau
     s2 = (2 * (p.delta + 1) * g + 1) * s3
-    return p.zeta * p.beta * (s2 + g)
+    s1 = s2 + g
+    return s3, s2, s1, p.zeta * p.beta * s1
 
 
-def nested_s_of(p: Params) -> int:
+def strong_s_of(p: Params) -> int:
+    return _strong_chain(p)[-1]
+
+
+def _nested_chain(p: Params) -> tuple[int, int, int, int]:
+    """``nested`` s3, s2, s1 and s."""
     eps = epsilon_of(p)
     s3 = (p.delta * (p.delta + 1) + 1) * eps + p.delta
     s2 = ((2 * p.delta * eps + 1) * p.delta * p.tau + eps) * s3
     s1 = (2 * eps + 1) * p.tau * s2
-    return s1 + eps
+    return s3, s2, s1, s1 + eps
+
+
+def nested_s_of(p: Params) -> int:
+    return _nested_chain(p)[-1]
 
 
 def nested_side_conditions_ok(p: Params) -> bool:
@@ -138,54 +157,39 @@ def shadow_chi_bound_of(p: Params) -> int:
 
 
 def ledger(p: Params) -> ConstantsLedger:
-    """Evaluate the full constant chain exactly for one parameter set."""
+    """Evaluate the full constant chain exactly for one parameter set.
+
+    The values come from the ``*_of`` helpers, the Python derivation that
+    the audit and the passes share; each entry's formula string is the
+    independent derivation that :func:`reevaluate` reads.
+    """
     d, t, al, be, ze = p.delta, p.tau, p.alpha, p.beta, p.zeta
     entries: list[LedgerEntry] = []
 
-    def add(key: str, rule: str, formula: str, value: int | PowerSum) -> int | PowerSum:
-        entries.append(LedgerEntry(key=key, value=value, rule=rule,
+    def add(key: str, formula: str, value: int | PowerSum) -> int | PowerSum:
+        entries.append(LedgerEntry(key=key, value=value, rule=key.partition(".")[0],
                                    formula=formula))
         return value
 
-    gamma = add(
-        "gamma", "gamma",
-        "(2*delta*tau + 1)*(2*delta + 1)",
-        (2 * d * t + 1) * (2 * d + 1),
-    )
-    epsilon = add(
-        "epsilon", "epsilon",
-        "(beta + 1)*gamma*delta",
-        (be + 1) * gamma * d,
-    )
-    add(
-        "dense_count.bound", "dense_count",
-        "alpha*tau*2**(beta*zeta)",
-        al * t * _pow(2, be * ze),
-    )
-    add(
-        "partial_clean2.d", "partial_clean2",
-        "gamma*(delta - 1)",
-        gamma * (d - 1),
-    )
+    gamma = add("gamma", "(2*delta*tau + 1)*(2*delta + 1)", gamma_of(p))
+    add("epsilon", "(beta + 1)*gamma*delta", epsilon_of(p))
+    # Symbolic above SERIALIZE_BITS_CAP, unlike dense_bound_of.
+    dense = add("dense_count.bound", "alpha*tau*2**(beta*zeta)",
+                al * t * _pow(2, be * ze))
+    add("partial_clean2.d", "gamma*(delta - 1)", partial2_d_of(p))
 
-    sc3 = add("strong_contacts.s3", "strong_contacts",
-              "2*delta*tau", 2 * d * t)
-    sc2 = add("strong_contacts.s2", "strong_contacts",
-              "(2*(delta + 1)*gamma + 1)*strong_contacts_s3",
-              (2 * (d + 1) * gamma + 1) * sc3)
-    sc1 = add("strong_contacts.s1", "strong_contacts",
-              "strong_contacts_s2 + gamma", sc2 + gamma)
-    add("strong_contacts.s", "strong_contacts",
-        "zeta*beta*strong_contacts_s1", ze * be * sc1)
+    sc3, sc2, sc1, sc = _strong_chain(p)
+    add("strong_contacts.s3", "2*delta*tau", sc3)
+    add("strong_contacts.s2", "(2*(delta + 1)*gamma + 1)*strong_contacts_s3", sc2)
+    add("strong_contacts.s1", "strong_contacts_s2 + gamma", sc1)
+    add("strong_contacts.s", "zeta*beta*strong_contacts_s1", sc)
 
-    hs = add("u_high_degree.s", "u_high_degree",
-             "2*(2*gamma + 1)*delta*tau + gamma",
+    hs = add("u_high_degree.s", "2*(2*gamma + 1)*delta*tau + gamma",
              2 * (2 * gamma + 1) * d * t + gamma)
-    hq = add("u_high_degree.q", "u_high_degree",
-             "2*delta*(2*gamma*(delta + 1) + 1) + gamma",
+    hq = add("u_high_degree.q", "2*delta*(2*gamma*(delta + 1) + 1) + gamma",
              2 * d * (2 * gamma * (d + 1) + 1) + gamma)
     hm = add(
-        "u_high_degree.m", "u_high_degree",
+        "u_high_degree.m",
         "2*u_high_degree_q*zeta*beta"
         "*(1 + (u_high_degree_q + u_high_degree_s)*(delta**2 + 1)"
         " + 2*delta + delta*tau)*tau",
@@ -193,7 +197,7 @@ def ledger(p: Params) -> ConstantsLedger:
         * (1 + (hq + hs) * (d * d + 1) + 2 * d + d * t) * t,
     )
     add(
-        "u_high_degree.ell", "u_high_degree",
+        "u_high_degree.ell",
         "2*u_high_degree_s*u_high_degree_m*zeta**2*delta"
         "*(2*(delta + 2)*u_high_degree_s + 3)*beta**2*tau**3",
         2 * hs * hm * ze * ze * d
@@ -202,11 +206,10 @@ def ledger(p: Params) -> ConstantsLedger:
 
     # The common-root size bound textually coincides with the entry
     # above; both live in the ledger under distinct keys on purpose.
-    crq = add("common_root.q", "common_root",
-              "2*delta*(2*gamma*(delta + 1) + 1) + gamma",
+    crq = add("common_root.q", "2*delta*(2*gamma*(delta + 1) + 1) + gamma",
               2 * d * (2 * gamma * (d + 1) + 1) + gamma)
     add(
-        "common_root.j_size", "common_root",
+        "common_root.j_size",
         "2*common_root_q*zeta*beta"
         "*(1 + (common_root_q + u_high_degree_s)*(delta**2 + 1)"
         " + 2*delta + delta*tau)*tau",
@@ -214,38 +217,29 @@ def ledger(p: Params) -> ConstantsLedger:
         * (1 + (crq + hs) * (d * d + 1) + 2 * d + d * t) * t,
     )
 
-    ns3 = add("nested.s3", "nested",
-              "(delta*(delta + 1) + 1)*epsilon + delta",
-              (d * (d + 1) + 1) * epsilon + d)
-    ns2 = add("nested.s2", "nested",
-              "((2*delta*epsilon + 1)*delta*tau + epsilon)*nested_s3",
-              ((2 * d * epsilon + 1) * d * t + epsilon) * ns3)
-    ns1 = add("nested.s1", "nested",
-              "(2*epsilon + 1)*tau*nested_s2",
-              (2 * epsilon + 1) * t * ns2)
-    ns = add("nested.s", "nested", "nested_s1 + epsilon", ns1 + epsilon)
-    nt4 = add("nested.t4", "nested", "2*delta", 2 * d)
-    nt3 = add("nested.t3", "nested", "2*delta*nested_t4", 2 * d * nt4)
-    nt2 = add("nested.t2", "nested",
-              "(alpha*tau*2**(beta*zeta) + 1)*nested_t3",
-              (al * t * _pow(2, be * ze) + 1) * nt3)
-    nt1 = add("nested.t1", "nested", "nested_t2**nested_s2",
-              _pow(nt2, ns2))
-    add("nested.t", "nested",
-        "1 + 2**nested_s2*delta*tau + nested_t1",
+    ns3, ns2, ns1, ns = _nested_chain(p)
+    add("nested.s3", "(delta*(delta + 1) + 1)*epsilon + delta", ns3)
+    add("nested.s2", "((2*delta*epsilon + 1)*delta*tau + epsilon)*nested_s3", ns2)
+    add("nested.s1", "(2*epsilon + 1)*tau*nested_s2", ns1)
+    add("nested.s", "nested_s1 + epsilon", ns)
+    nt4 = add("nested.t4", "2*delta", 2 * d)
+    nt3 = add("nested.t3", "2*delta*nested_t4", 2 * d * nt4)
+    nt2 = add("nested.t2", "(alpha*tau*2**(beta*zeta) + 1)*nested_t3",
+              (dense + 1) * nt3)
+    nt1 = add("nested.t1", "nested_t2**nested_s2", _pow(nt2, ns2))
+    add("nested.t", "1 + 2**nested_s2*delta*tau + nested_t1",
         1 + _pow(2, ns2) * d * t + nt1)
 
-    add("shadow_chi.q", "shadow_chi", "2*delta + nested_s", 2 * d + ns)
-    sr = add(
-        "shadow_chi.r", "shadow_chi",
+    add("shadow_chi.q", "2*delta + nested_s", 2 * d + ns)
+    add(
+        "shadow_chi.r",
         "(4*(delta + 1)*nested_s + 1)*shadow_chi_q*zeta*beta*tau"
         "*(1 + tau*((shadow_chi_q + nested_s)*delta**2"
         " + (2*nested_s*(delta + 1) + 1)*delta*tau))",
         shadow_chi_r_of(p, ns),
     )
-    add("shadow_chi.bound", "shadow_chi",
-        "3*shadow_chi_r*nested_s*beta*delta*zeta*tau**2",
-        3 * sr * ns * be * d * ze * t * t)
+    add("shadow_chi.bound", "3*shadow_chi_r*nested_s*beta*delta*zeta*tau**2",
+        shadow_chi_bound_of(p))
 
     return ConstantsLedger(params=p, entries=tuple(entries))
 
@@ -330,12 +324,10 @@ def compose_phi(p: Params, lg: ConstantsLedger | None = None) -> Callable[[int],
     lg = lg if lg is not None else ledger(p)
     dense_bound = lg.value("dense_count.bound")
     strong_s = lg.value("strong_contacts.s")
-    d2 = lg.value("partial_clean2.d")
     ell = lg.value("u_high_degree.ell")
-    t2 = (d2 + 1) * p.beta * p.zeta * p.tau
     consts: dict[str, dict] = {
         "clean3": {"delta": p.delta, "tau": p.tau, "ell": ell},
-        "clean2": {"t": t2, "beta": p.beta},
+        "clean2": {"t": clean2_t_of(p), "beta": p.beta},
         "partial_clean2": {"s": strong_s},
         "clean1": {"t": dense_bound, "tau": p.tau},
         "partial_clean1": {"t": dense_bound},

@@ -76,44 +76,37 @@ def _check_stage(name: str, arr: TemplateArray) -> None:
 def run_pipeline(
     g: Graph, p: Params, limit: int | None = None
 ) -> PipelineTrace:
+    stages: list[tuple[str, TemplateArray, dict]] = []
+
+    def stage(name: str, arr: TemplateArray, report: dict) -> TemplateArray:
+        _check_stage(name, arr)
+        stages.append((name, arr, report))
+        return arr
+
     # Stages colour some vertex sets more than once: one chi memo per run.
     with chi_memo(g):
         arr, leftover = extract_template_array(g, p, limit=limit)
-        _check_stage("extract", arr)
-        stages: list[tuple[str, TemplateArray, dict]] = [
-            ("extract", arr, {"leftover": sorted(leftover)})
-        ]
-
-        arr1, rep1 = clean1(arr, limit=limit)
-        _check_stage("clean1", arr1)
-        stages.append(("clean1", arr1, rep1))
-
-        arr2, rep2 = clean2(arr1, limit=limit)
-        _check_stage("clean2", arr2)
-        stages.append(("clean2", arr2, rep2))
-
-        arr3, priv, rep3 = privatize(arr2, limit=limit)
-        _check_stage("privatize", arr3)
-        priv_problems = validate_privatization(arr3, priv)
-        if priv_problems:
-            raise StageError("privatize", priv_problems)
-        stages.append(("privatize", arr3, rep3))
-
-        arr4, rep4 = clean3(arr3, limit=limit)
-        _check_stage("clean3", arr4)
-        stages.append(("clean3", arr4, rep4))
+        arr = stage("extract", arr, {"leftover": sorted(leftover)})
+        arr = stage("clean1", *clean1(arr, limit=limit))
+        arr = stage("clean2", *clean2(arr, limit=limit))
+        arr, priv, report = privatize(arr, limit=limit)
+        arr = stage("privatize", arr, report)
+        problems = validate_privatization(arr, priv)
+        if problems:
+            raise StageError("privatize", problems)
+        arr = stage("clean3", *clean3(arr, limit=limit))
 
         leftover_core_free = (
             find_core(g, p.zeta, p.beta, limit=limit, within=mask_of(leftover)) is None
         )
 
-        shadow = build_shadowing(arr4)
-        problems = validate_shadowing(arr4, shadow)
+        shadow = build_shadowing(arr)
+        problems = validate_shadowing(arr, shadow)
         if problems:
             raise StageError("shadow", problems)
 
-        audit = bound_audit(arr4, privatization=priv, limit=limit)
-        triples = strong_triple_audit(arr4, shadow, priv, limit=limit)
+        audit = bound_audit(arr, privatization=priv, limit=limit)
+        triples = strong_triple_audit(arr, shadow, priv, limit=limit)
         return PipelineTrace(
             params=p,
             stages=stages,

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .constants import nested_s_of, shadow_chi_bound_of, shadow_chi_r_of
 from .graphs import (
-    Digraph,
     Graph,
     check_vertex_set,
     is_stable,
@@ -31,7 +30,7 @@ from .structures import is_matching_covered
 from .templates import (
     Template,
     TemplateArray,
-    gallai_roy_color,
+    _longest_path,
     is_2_cleaned,
 )
 
@@ -144,20 +143,17 @@ def validate_daisy(arr: TemplateArray, s: Shadowing, d: Daisy) -> list[str]:
     return problems
 
 
-def find_daisy(
-    arr: TemplateArray, s: Shadowing, x: frozenset[int] | None = None
-) -> Daisy | None:
-    """Exhaustive daisy search inside H union x, lowest choices first."""
+def find_daisy(arr: TemplateArray, s: Shadowing) -> Daisy | None:
+    """Exhaustive daisy search inside H union U, lowest choices first."""
     g, p = arr.graph, arr.params
-    bits = g.bits
-    xm = arr.umask if x is None else mask_of(check_vertex_set(g, x)) & arr.umask
+    bits, um = g.bits, arr.umask
     owner = _owners(s.blocks)
     h_owner = _owners(arr.h_sets())
-    for eye in members(xm):
+    for eye in members(um):
         for root in members(bits[eye] & arr.h_mask):
             i = h_owner[root]
             by_block: dict[int, list[int]] = {}
-            for q in members(bits[eye] & xm & ~bits[root]):
+            for q in members(bits[eye] & um & ~bits[root]):
                 if owner.get(q, i) != i:
                     by_block.setdefault(owner[q], []).append(q)
             for j in sorted(by_block):
@@ -494,7 +490,7 @@ def strong_triple_audit(
     a precedes c, some adjacent pair (u, v) sits in blocks i and a, u
     has delta stable block-b neighbours, and v has delta stable block-c
     neighbours avoiding u.  Counts are compared against the (enormous)
-    derived bound; the orientation digraph directs cross-block edges
+    derived bound; the orientation directs cross-block edges
     from earlier to later blocks and must colour properly by longest
     path.
     """
@@ -539,18 +535,16 @@ def strong_triple_audit(
     s_obs = max(shadowing_degree(arr, s, arr.u - priv.pi)[0], 1)
     r_bound = shadow_chi_r_of(p, max(s_obs, nested_s_of(p)))
 
-    # Cross-block edges, directed from the earlier block to the later.
-    owner = _owners(members(r) for r in rest)
-    verts = sorted(owner)
-    pos = {v: k for k, v in enumerate(verts)}
-    cross = [(u, v) for u in verts for v in members(bits[u]) if v in owner]
-    arcs = [(pos[u], pos[v]) for u, v in cross if owner[v] > owner[u]]
-    col = gallai_roy_color(Digraph(len(verts), arcs))
-    proper = all(
-        col.colors[pos[u]] != col.colors[pos[v]]
-        for u, v in cross
-        if owner[v] != owner[u]
-    )
+    # Cross-block edges, directed from the earlier block to the later:
+    # block order is a topological order, and each vertex's arcs in come
+    # from its neighbours in earlier blocks.
+    into: list[tuple[int, int]] = []
+    earlier = 0
+    for r in rest:
+        into += [(v, bits[v] & earlier) for v in members(r)]
+        earlier |= r
+    colors, palette = _longest_path(into)
+    proper = all(colors[u] != colors[v] for v, m in into for u in members(m))
 
     return StrongTripleReport(
         triples_by_base={i: tuple(ts) for i, ts in triples.items()},
@@ -558,7 +552,7 @@ def strong_triple_audit(
         r_bound=r_bound,
         chi_unprivatized=_chi_or_none(g, arr.u - priv.pi, limit),
         chi_bound=shadow_chi_bound_of(p),
-        orientation_palette=col.palette_size,
+        orientation_palette=palette,
         orientation_proper=proper,
     )
 

@@ -31,8 +31,6 @@ class CoreWitness:
     _vertices: frozenset[int] = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
-    # density_masks results by (id(graph), alpha, eta), with the graph.
-    _density: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
@@ -239,11 +237,8 @@ def density_masks(
 
     Per part, ``at[j]`` masks the vertices with at least j neighbours in
     it, grown one part member at a time: O(|core| * max(alpha, eta))
-    big-int operations.  The core keeps the result for the graph.
+    big-int operations.
     """
-    known = core._density.get((id(g), alpha, eta))
-    if known is not None and known[0] is g:
-        return known[1]
     bits = g.bits
     full = (1 << g.n) - 1
     top = max(alpha, eta, 0)
@@ -257,9 +252,7 @@ def density_masks(
         dense &= at[max(alpha, 0)]
         reach |= at[max(eta, 0)]
     outside = full & ~core.mask
-    out = dense & outside, (reach & ~dense & outside) | core.mask
-    core._density[id(g), alpha, eta] = (g, out)
-    return out
+    return dense & outside, (reach & ~dense & outside) | core.mask
 
 
 def is_dense_to(g: Graph, v: int, core: CoreWitness, alpha: int) -> bool:

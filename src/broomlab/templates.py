@@ -19,11 +19,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 from .constants import (
+    clean2_t_of,
     dense_bound_of,
     epsilon_of,
     gamma_of,
     nested_s_of,
     nested_side_conditions_ok,
+    partial2_d_of,
     shadow_chi_bound_of,
     strong_s_of,
 )
@@ -59,16 +61,6 @@ from .trees import (
     find_rooted_broom,
 )
 
-CLEANLINESS_RANK = {
-    "raw": 0,
-    "partial1": 1,
-    "clean1": 2,
-    "partial2": 3,
-    "clean2": 4,
-    "clean3": 5,
-}
-
-
 @dataclass(frozen=True)
 class Template:
     core: CoreWitness
@@ -96,7 +88,7 @@ class TemplateArray:
     y_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cleanliness not in CLEANLINESS_RANK:
+        if self.cleanliness not in CLEANLINESS_LEVELS:
             raise ValueError(f"unknown cleanliness level {self.cleanliness!r}")
         object.__setattr__(self, "umask", mask_of(self.u))
         object.__setattr__(self, "h_mask", _union(self.h_masks()))
@@ -244,13 +236,21 @@ def is_3_cleaned(arr: TemplateArray) -> bool:
     return all((bits[u] & h_all).bit_count() < eps for u in members(arr.umask))
 
 
+# Each cleanliness level with the predicate that verifies it, weakest
+# first: a level's rank is its position.
+CLEANLINESS_LEVELS: dict[str, Callable[[TemplateArray], bool]] = {
+    "raw": lambda arr: True,
+    "partial1": is_partially_1_cleaned,
+    "clean1": is_1_cleaned,
+    "partial2": lambda arr: (arr.partial2_degree is not None
+                             and is_partially_2_cleaned(arr, arr.partial2_degree)),
+    "clean2": is_2_cleaned,
+    "clean3": is_3_cleaned,
+}
+
+
 def cleanliness_holds(arr: TemplateArray) -> bool:
-    level, d = arr.cleanliness, arr.partial2_degree
-    if level == "partial2":
-        return d is not None and is_partially_2_cleaned(arr, d)
-    predicates = {"raw": lambda a: True, "partial1": is_partially_1_cleaned,
-                  "clean1": is_1_cleaned, "clean2": is_2_cleaned, "clean3": is_3_cleaned}
-    return predicates[level](arr)
+    return CLEANLINESS_LEVELS[arr.cleanliness](arr)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +307,21 @@ def gallai_roy_color(d: Digraph) -> Coloring:
     topo = d.topological_order()
     if topo is None:
         raise ValueError("cycle detected; longest-path colouring needs a DAG")
-    count = [1] * d.n
-    into: list[list[int]] = [[] for _ in range(d.n)]
+    into = [0] * d.n
     for u, v in d.arcs():
-        into[v].append(u)
-    for v in topo:
-        if into[v]:
-            count[v] = 1 + max(count[u] for u in into[v])
-    palette = max(count, default=1)
-    return Coloring(tuple(c - 1 for c in count), palette if d.n else 0)
+        into[v] |= 1 << u
+    colors, palette = _longest_path((v, into[v]) for v in topo)
+    return Coloring(tuple(colors[v] for v in range(d.n)), palette)
+
+
+def _longest_path(order: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
+    """Longest-path colours and the palette size.  ``order`` gives each
+    vertex with the mask of its in-neighbours, in a topological order;
+    a vertex's colour is one more than the largest among them, or 0."""
+    colors: dict[int, int] = {}
+    for v, into in order:
+        colors[v] = 1 + max((colors[u] for u in members(into)), default=-1)
+    return colors, max(colors.values(), default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +472,9 @@ def clean2(
     g, p = arr.graph, arr.params
     if not is_1_cleaned(arr):
         raise ValueError("clean2 requires a 1-cleaned array")
-    gamma = gamma_of(p)
     report: dict = {
         "pass": "clean2",
-        "ledger_d": gamma * (p.delta - 1),
+        "ledger_d": partial2_d_of(p),
         "ledger_s": strong_s_of(p),
     }
     # is_1_cleaned held above, so this is is_2_cleaned(arr).
@@ -534,7 +539,7 @@ def clean2(
         "class_chis_u": class_chis_u,
         "chosen_class": chosen,
         "palette": split.palette_size,
-        "claimed_t": (report["ledger_d"] + 1) * p.beta * p.zeta * p.tau,
+        "claimed_t": clean2_t_of(p),
     }
     out = cands[chosen]
     if not is_2_cleaned(out):
@@ -624,7 +629,8 @@ def _gate(
 ) -> AuditCheck | None:
     """None means run; otherwise the skipped or failed check.  ``holds``
     answers whether the declared cleanliness predicate holds."""
-    if CLEANLINESS_RANK[arr.cleanliness] < CLEANLINESS_RANK[required]:
+    levels = list(CLEANLINESS_LEVELS)
+    if levels.index(arr.cleanliness) < levels.index(required):
         return AuditCheck(
             rule,
             "skipped",

@@ -11,7 +11,9 @@ from broomlab.generators import (
     petersen,
 )
 from broomlab.graphs import Graph
+from broomlab.pipeline import run_pipeline
 from broomlab.structures import Params
+from broomlab.suites import _pipeline_instances
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +64,12 @@ def groe():
 @pytest.fixture(scope="session")
 def small_params():
     return Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+
+
+@pytest.fixture(scope="session")
+def pipeline_traces(small_params):
+    """``run_pipeline`` on the first 40 hosts of the acceptance mix (seed 11)."""
+    return [run_pipeline(g, small_params) for _, g in _pipeline_instances(40, 11)]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -9,14 +9,21 @@ import pytest
 from broomlab.bignum import PowerSum, UndecidedComparison, decimal_string
 from broomlab.constants import (
     SERIALIZE_BITS_CAP,
+    PHI_STEPS,
     ConstantsLedger,
+    clean2_t_of,
     compose_phi,
     dense_bound_of,
     epsilon_of,
     gamma_of,
     ledger,
+    nested_s_of,
+    partial2_d_of,
     phi_step,
     reevaluate,
+    shadow_chi_bound_of,
+    shadow_chi_r_of,
+    strong_s_of,
 )
 from broomlab.structures import Params, ThetaTable
 
@@ -36,11 +43,35 @@ def test_hand_values():
     assert lg.value("strong_contacts.s") == 498
 
 
-def test_helper_values():
+def test_helper_values(monkeypatch):
     p = spec_params()
     assert gamma_of(p) == 9
     assert epsilon_of(p) == 27
     assert dense_bound_of(p) == 1 * 1 * 2 ** 6
+    # Each helper against its ledger entry: the 12-point acceptance grid,
+    # then explicit eta, zeta and alpha.
+    points = [Params.with_minimal_sides(delta=d, tau=t, beta=b)
+              for d in (1, 2) for t in (0, 1, 2) for b in (2, 3)]
+    points += [Params.with_minimal_sides(delta=1, tau=2, beta=3, eta=4),
+               Params.with_minimal_sides(delta=2, tau=1, alpha=3, eta=2),
+               Params(delta=1, tau=1, alpha=2, beta=2, zeta=7, eta=5),
+               Params(delta=2, tau=2, alpha=1, beta=3, zeta=4, eta=1)]
+    seen_t: list[int] = []
+    monkeypatch.setitem(PHI_STEPS, "clean2",
+                        lambda c, *, t, beta: seen_t.append(t) or 0)
+    for p in points:
+        lg = ledger(p)
+        ns = lg.value("nested.s")
+        assert gamma_of(p) == lg.value("gamma")
+        assert epsilon_of(p) == lg.value("epsilon")
+        assert dense_bound_of(p) == lg.value("dense_count.bound")
+        assert strong_s_of(p) == lg.value("strong_contacts.s")
+        assert nested_s_of(p) == ns
+        assert shadow_chi_r_of(p, ns) == lg.value("shadow_chi.r")
+        assert shadow_chi_bound_of(p) == lg.value("shadow_chi.bound")
+        assert partial2_d_of(p) == lg.value("partial_clean2.d")
+        compose_phi(p, lg)(0)
+        assert seen_t.pop() == clean2_t_of(p)
 
 
 def test_reevaluation_matches():
@@ -166,12 +197,15 @@ def test_power_sum_matches_its_materialization():
         assert v == n and not v < n and v <= n and v >= n
         assert int(3 * v + v + 1) == 4 * n + 1
         assert v * 0 == 0 and type(v * 0) is int
-        for k in (n - 1, n + 1, 0, -5):
-            assert (v < k, v > k, v == k) == (n < k, n > k, n == k)
+        for k in (n - 1, n, n + 1, 0, -5):
+            assert (v < k, v <= k, v > k, v >= k, v == k) == (
+                n < k, n <= k, n > k, n >= k, n == k)
+            assert (k < v, k <= v, k > v, k >= v) == (k < n, k <= n, k > n, k >= n)
     for (x, a), (y, b) in itertools.product(zip(values, ints), repeat=2):
         assert (x == y, x < y, x <= y, x > y, x >= y) == (a == b, a < b, a <= b, a > b, a >= b)
     x = values[0]
-    for bad in (lambda: x - 1, lambda: x * -1, lambda: x ** 2, lambda: x + -1):
+    for bad in (lambda: x - 1, lambda: x * -1, lambda: x ** 2, lambda: x + -1,
+                lambda: x < "1", lambda: x <= "1", lambda: x > "1", lambda: x >= "1"):
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(ValueError):

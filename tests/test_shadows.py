@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from broomlab.generators import FIXTURES
-from broomlab.graphs import Graph, induced
+from broomlab.graphs import Digraph, Graph, induced, mask_of, members
 from broomlab.oracles import adjacency, daisies_oracle
 from broomlab.shadows import (
     Shadowing,
@@ -22,7 +23,11 @@ from broomlab.shadows import (
 )
 from broomlab.solvers import chromatic_number
 from broomlab.structures import Params
-from broomlab.templates import extract_template_array, validate_template_array
+from broomlab.templates import (
+    extract_template_array,
+    gallai_roy_color,
+    validate_template_array,
+)
 from broomlab.graphs import is_stable
 
 from conftest import random_graph
@@ -93,11 +98,6 @@ def test_find_daisy_fixture():
     assert d is not None
     assert validate_daisy(arr, s, d) == []
     assert d.root == 8 and d.eye == 9 and d.petals == frozenset({10})
-
-
-def test_find_daisy_empty_restriction():
-    arr, s = daisy_setup()
-    assert find_daisy(arr, s, frozenset()) is None
 
 
 def test_find_daisy_blocked_by_root_edges():
@@ -308,6 +308,35 @@ def test_strong_triple_fixture_detected():
     assert report.orientation_proper
     assert report.chi_unprivatized is not None
     assert report.chi_unprivatized <= report.chi_bound
+
+
+def _orientation_reference(arr, s, priv):
+    """Palette and properness of ``gallai_roy_color`` on a digraph of the
+    cross-block edges of the unprivatized blocks, earlier to later."""
+    pi = mask_of(priv.pi)
+    owner = {v: i for i, b in enumerate(s.blocks) for v in members(mask_of(b) & ~pi)}
+    verts = sorted(owner)
+    pos = {v: k for k, v in enumerate(verts)}
+    cross = [(u, v) for u in verts for v in members(arr.graph.bits[u]) if v in owner]
+    arcs = [(pos[u], pos[v]) for u, v in cross if owner[v] > owner[u]]
+    col = gallai_roy_color(Digraph(len(verts), arcs))
+    proper = all(col.colors[pos[u]] != col.colors[pos[v]]
+                 for u, v in cross if owner[v] != owner[u])
+    return col.palette_size, proper
+
+
+def test_strong_triple_orientation_matches_digraph_colouring(pipeline_traces):
+    palettes = set()
+    for trace in pipeline_traces:
+        arr, s, priv = trace.stages[-1][1], trace.shadowing, trace.privatization
+        assert strong_triple_audit(arr, s, priv) == trace.strong_triples
+        # With nothing privatized, more of U is oriented.
+        for pv in (priv, replace(priv, pi=frozenset())):
+            report = strong_triple_audit(arr, s, pv)
+            got = report.orientation_palette, report.orientation_proper
+            assert got == _orientation_reference(arr, s, pv)
+            palettes.add(got[0])
+    assert palettes == {0, 1, 2, 3}
 
 
 # --- stable-removal property --------------------------------------------------

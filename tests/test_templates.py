@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -178,6 +179,30 @@ def test_single_template_partially_1_cleaned(small_params):
     arr, _ = extract_template_array(g, small_params)
     assert is_partially_1_cleaned(arr)  # vacuous without a second template
     assert is_1_cleaned(arr)
+
+
+def test_cleanliness_holds_matches_each_predicate(pipeline_traces):
+    direct = {
+        "raw": lambda a: True,
+        "partial1": is_partially_1_cleaned,
+        "clean1": is_1_cleaned,
+        "partial2": lambda a: (a.partial2_degree is not None
+                               and is_partially_2_cleaned(a, a.partial2_degree)),
+        "clean2": is_2_cleaned,
+        "clean3": is_3_cleaned,
+    }
+    seen = {True: 0, False: 0}
+    for trace in pipeline_traces:
+        for _, arr, _ in trace.stages:
+            for level, predicate in direct.items():
+                for d in ((None, 0, 1) if level == "partial2" else (None,)):
+                    declared = replace(arr, cleanliness=level, partial2_degree=d)
+                    verdict = cleanliness_holds(declared)
+                    assert verdict == predicate(declared), (level, d)
+                    seen[verdict] += 1
+    assert seen[True] and seen[False]
+    with pytest.raises(ValueError, match="unknown cleanliness level 'clean4'"):
+        replace(pipeline_traces[0].stages[0][1], cleanliness="clean4")
 
 
 def test_dense_u_vertex_breaks_1_cleanliness(small_params):
