@@ -3,8 +3,9 @@ print with ``str()``.
 
 :class:`PowerSum` holds a sum of huge powers symbolically, with exact
 bit length, residues and comparisons; :func:`decimal_string` prints a
-large int in sub-quadratic time.  The ledger loads this module only
-when it needs one of them, so importing broomlab does not compile it.
+large int or a PowerSum in sub-quadratic time, the latter without
+materializing it.  The ledger loads this module only when it needs one
+of them, so importing broomlab does not compile it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import sys
 from typing import Callable
 
-from .constants import SERIALIZE_BITS_CAP
+from .constants import DECIMAL_LEAF_BITS, SERIALIZE_BITS_CAP
 
 # Moduli for the residue test in PowerSum equality (Mersenne primes).
 _RESIDUE_MODULI = ((1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1)
@@ -227,44 +228,55 @@ def _refine(decide: Callable[[int], int | None], *values: Value) -> int:
                               f"not decided at {SERIALIZE_BITS_CAP} bits of precision")
 
 
-# Leaves of the divide-and-conquer decimal rendering; 1024 bits is 309
-# digits, under the smallest int-to-str digit limit Python accepts.
-_DECIMAL_LEAF_BITS = 1024
-
-
-def decimal_string(n: int) -> str:
+def decimal_string(n: Value, powers: dict | None = None) -> str:
     """Decimal digits of ``n >= 0`` without the quadratic cost and the
     digit limit of ``str(int)``.
 
-    n is split into binary halves, each converted to ``decimal.Decimal``
-    and recombined with an exact power of two, the technique of CPython
-    3.12's ``_pylong``; libmpdec multiplies large numbers in
-    sub-quadratic time.
+    An int is split into binary halves, each converted to
+    ``decimal.Decimal`` and recombined with an exact power of two, the
+    technique of CPython 3.12's ``_pylong``; libmpdec multiplies large
+    numbers in sub-quadratic time.  A PowerSum is summed as
+    ``c * Decimal(b)**e`` per term plus its offset, each int converted
+    as above, so the value is never materialized as an int.  Every step
+    is exact: the context has the maximal precision and traps Inexact.
+
+    ``powers`` maps ``(b, e)`` to the Decimal ``b**e``; a caller that
+    prints several values passes one dict to all the calls, so that a
+    power shared by two values (``nested.t1`` and ``nested.t``) is
+    computed once.
     """
-    if n.bit_length() <= _DECIMAL_LEAF_BITS:
+    if isinstance(n, int) and n.bit_length() <= DECIMAL_LEAF_BITS:
         return str(n)
     import decimal
 
     D = decimal.Decimal
-    powers: dict[int, decimal.Decimal] = {}
+    powers = {} if powers is None else powers
+
+    def power(b: int, e: int) -> decimal.Decimal:
+        if (b, e) not in powers:
+            powers[b, e] = convert(b, b.bit_length()) ** e
+        return powers[b, e]
 
     def convert(x: int, width: int) -> decimal.Decimal:
-        if width <= _DECIMAL_LEAF_BITS:
+        if width <= DECIMAL_LEAF_BITS:
             return D(x)
         half = width >> 1
-        if half not in powers:
-            powers[half] = D(2) ** half
         hi = x >> half
-        return convert(hi, width - half) * powers[half] + convert(x - (hi << half), half)
+        return convert(hi, width - half) * power(2, half) + convert(x - (hi << half), half)
 
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
         try:
-            return str(convert(n, n.bit_length()))
+            if isinstance(n, int):
+                return str(convert(n, n.bit_length()))
+            total = convert(n.offset, n.offset.bit_length())
+            for b, e, c in n.terms:
+                total += convert(c, c.bit_length()) * power(b, e)
+            return str(total)
         finally:
-            # convert refers to itself through its closure; breaking that
-            # cycle frees ``powers`` (large Decimals) at once instead of
-            # whenever the cycle collector next runs.
-            del convert
+            # convert and power refer to each other through their
+            # closures; breaking that cycle frees the Decimals they made
+            # at once instead of whenever the cycle collector next runs.
+            del convert, power

@@ -81,7 +81,12 @@ def _scalar(x) -> str:
     if x is False:
         return "false"
     if isinstance(x, int):
-        return int.__repr__(x)
+        try:
+            return int.__repr__(x)
+        except ValueError:  # over the int-to-str digit limit
+            from .bignum import decimal_string
+
+            return "-" * (x < 0) + decimal_string(abs(x))
     if isinstance(x, float):
         if x != x:
             return "NaN"

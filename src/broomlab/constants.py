@@ -8,9 +8,12 @@ All arithmetic is exact integer arithmetic; the tower entry
 parameters, which is the whole reason the pipeline never runs at the
 true constants.
 
-A power that would exceed ``SERIALIZE_BITS_CAP`` bits is never
-materialized: it stays a :class:`~broomlab.bignum.PowerSum`, whose bit
-length, residues and comparisons are exact without the digits.
+A power of more than ``DECIMAL_LEAF_BITS`` bits is never materialized:
+it stays a :class:`~broomlab.bignum.PowerSum`, whose bit length,
+residues and comparisons are exact without the digits, and whose
+decimal is printed from the symbolic form.  A symbolic value that a
+further power or :func:`compose_phi` needs as an int is materialized
+only when each of its power terms is under ``SERIALIZE_BITS_CAP`` bits.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ if TYPE_CHECKING:
 
 # Nothing reads the digits of truly enormous entries, and producing them
 # would dwarf every other cost: an entry above this many bits serializes
-# as a bit-length summary, and a power above it is never materialized.
+# as a bit-length summary, and a symbolic value with a power term above
+# it is never materialized.
 SERIALIZE_BITS_CAP = 1 << 21
+# A power above this many bits stays symbolic.  It is also the leaf size
+# of bignum's decimal rendering: 1024 bits is 309 digits, under the
+# smallest int-to-str digit limit Python accepts, so ``str()`` is cheap.
+DECIMAL_LEAF_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -62,11 +70,12 @@ class ConstantsLedger:
         }
         from .bignum import decimal_string  # not loaded by ``import broomlab``
 
+        powers: dict = {}  # nested.t1 and nested.t share t2**s2
         for e in self.entries:
             bl = e.value.bit_length()
             item = {"key": e.key, "rule": e.rule, "formula": e.formula}
             if bl <= bits_cap:
-                item["decimal"] = decimal_string(int(e.value))
+                item["decimal"] = decimal_string(e.value, powers)
             else:
                 item["decimal"] = None
                 item["bit_length"] = bl
@@ -75,12 +84,29 @@ class ConstantsLedger:
         return out
 
 
-def _pow(base: int | PowerSum, exp: int | PowerSum) -> int | PowerSum:
+def _as_int(v: int | PowerSum, name: str) -> int:
+    """``v`` as an int, when each power term ``b**e`` of it has
+    ``(bl(b) - 1)*e < SERIALIZE_BITS_CAP`` and so fewer than
+    ``SERIALIZE_BITS_CAP + bl(b)`` bits; otherwise ValueError naming
+    ``name``."""
+    if isinstance(v, int):
+        return v
+    if any((b.bit_length() - 1) * e >= SERIALIZE_BITS_CAP for b, e, _ in v.terms):
+        raise ValueError(f"{name}: a power of {SERIALIZE_BITS_CAP} bits or more "
+                         "is never materialized")
+    return int(v)
+
+
+def _pow(base: int | PowerSum, exp: int) -> int | PowerSum:
     """``base ** exp``, kept symbolic when it certainly has more than
-    ``SERIALIZE_BITS_CAP`` bits.  The one exponentiation of the ledger
-    and of :func:`reevaluate`."""
-    if (isinstance(base, int) and isinstance(exp, int) and base >= 2
-            and (base.bit_length() - 1) * exp >= SERIALIZE_BITS_CAP):
+    ``DECIMAL_LEAF_BITS`` bits.  The one exponentiation of the ledger
+    and of :func:`reevaluate`.  A symbolic base goes through
+    :func:`_as_int` first."""
+    if not isinstance(base, int):
+        from .bignum import _show
+
+        base = _as_int(base, f"{_show(base)}**{_show(exp)}")
+    if base >= 2 and (base.bit_length() - 1) * exp >= DECIMAL_LEAF_BITS:
         from .bignum import PowerSum
 
         return PowerSum([(base, exp, 1)])
@@ -173,7 +199,7 @@ def ledger(p: Params) -> ConstantsLedger:
 
     gamma = add("gamma", "(2*delta*tau + 1)*(2*delta + 1)", gamma_of(p))
     add("epsilon", "(beta + 1)*gamma*delta", epsilon_of(p))
-    # Symbolic above SERIALIZE_BITS_CAP, unlike dense_bound_of.
+    # Symbolic above DECIMAL_LEAF_BITS, unlike dense_bound_of.
     dense = add("dense_count.bound", "alpha*tau*2**(beta*zeta)",
                 al * t * _pow(2, be * ze))
     add("partial_clean2.d", "gamma*(delta - 1)", partial2_d_of(p))
@@ -322,9 +348,9 @@ def compose_phi(p: Params, lg: ConstantsLedger | None = None) -> Callable[[int],
     function.
     """
     lg = lg if lg is not None else ledger(p)
-    dense_bound = lg.value("dense_count.bound")
-    strong_s = lg.value("strong_contacts.s")
-    ell = lg.value("u_high_degree.ell")
+    dense_bound, strong_s, ell = (
+        _as_int(lg.value(key), key)
+        for key in ("dense_count.bound", "strong_contacts.s", "u_high_degree.ell"))
     consts: dict[str, dict] = {
         "clean3": {"delta": p.delta, "tau": p.tau, "ell": ell},
         "clean2": {"t": clean2_t_of(p), "beta": p.beta},

@@ -8,6 +8,7 @@ import pytest
 
 from broomlab.bignum import PowerSum, UndecidedComparison, decimal_string
 from broomlab.constants import (
+    DECIMAL_LEAF_BITS,
     SERIALIZE_BITS_CAP,
     PHI_STEPS,
     ConstantsLedger,
@@ -154,6 +155,27 @@ def test_compose_phi_order():
     assert compose_phi(p, lg)(c + 1) > expected
 
 
+@pytest.mark.parametrize("zeta", [600, 20_000, 1_048_575])
+def test_compose_phi_at_large_zeta(zeta):
+    # dense_count.bound = 2**(2*zeta) is over 1024 bits, over the
+    # int-to-str digit limit, and one bit under SERIALIZE_BITS_CAP; the
+    # bound function still composes, in the order of the hand
+    # composition in test_compose_phi_order.
+    p = dataclasses.replace(Params.with_minimal_sides(delta=1, tau=1, beta=2), zeta=zeta)
+    t = dense_bound_of(p)
+    assert t.bit_length() == 2 * zeta + 1
+    s = strong_s_of(p)
+    ell = ledger(p).value("u_high_degree.ell")
+    c = 0
+    expected = c + p.delta * p.tau**2 + ell
+    expected = (expected + p.beta + 1) * clean2_t_of(p)
+    expected = (2 * s + 1) * expected
+    expected = expected + t * p.tau
+    expected = (2 * t + 1) * expected
+    expected = expected + p.theta(p.zeta)
+    assert compose_phi(p)(c) == expected
+
+
 def test_serialization_decimal_strings():
     lg = ledger(spec_params())
     payload = lg.to_json_dict()
@@ -230,7 +252,7 @@ def test_symbolic_ledger_matches_full_materialization():
         again = reevaluate(lg)
         full = _materialized(lg)
         symbolic = isinstance(lg.value("nested.t1"), PowerSum)
-        assert symbolic == ((d, t, b) == (2, 1, 2))
+        assert symbolic == (full["nested.t1"].bit_length() > DECIMAL_LEAF_BITS)
         for e in lg.entries:
             n = full[e.key]
             assert e.value.bit_length() == n.bit_length()
@@ -290,10 +312,23 @@ def test_decimal_rendering_matches_str():
     numbers = [0, 10**4000, 10**4000 - 1, 1 << 100_000]
     numbers += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
     assert max(numbers).bit_length() <= SERIALIZE_BITS_CAP
+    # Symbolic values: base 2 and odd bases, coefficients above 1, powers
+    # and offsets on both sides of the leaf size, and a power of ten.
+    below, above = rng.getrandbits(900), rng.getrandbits(5000) | 1 << 4999
+    sums = [
+        PowerSum([(2, 1200, 1)]),
+        PowerSum([(2, 40_000, 3)], below),
+        PowerSum([(3, 700, 1)], above),
+        PowerSum([(65537, 3000, 5), (2, 2000, 1)], 1),
+        PowerSum([(rng.getrandbits(1500) | 1, 9, 2), (7, 30, 4)], above),
+        PowerSum([(10, 4000, 1), (3, 5, 1)], below),
+    ]
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         for n in numbers:
             assert decimal_string(n) == str(n)
+        for v in sums:
+            assert decimal_string(v) == str(int(v))
     finally:
         sys.set_int_max_str_digits(old)

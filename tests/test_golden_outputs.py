@@ -1,6 +1,8 @@
 """Pinned CLI outputs: sha256 digests of ``pipeline``, ``audit`` and
-``analyze`` payloads on fixed hosts, of ``gen`` for every family, and of
-``survey`` rows on a small manifest of trees, sparse and dense hosts.
+``analyze`` payloads on fixed hosts, of ``gen`` for every family, of
+``survey`` rows on a small manifest of trees, sparse and dense hosts,
+and of the ``constants`` ledger on the acceptance grid and at three
+large zetas.
 
 Repeated runs of the same code are compared elsewhere (acceptance
 criterion 11); these digests pin the bytes across refactors and Python
@@ -119,3 +121,23 @@ def _gen_survey_digests(tmp_path) -> dict[str, str]:
 
 def test_gen_and_survey_outputs_match_pinned_digests(tmp_path):
     assert _gen_survey_digests(tmp_path) == GOLDEN_GEN_SURVEY
+
+
+# ``constants`` on the 12-point acceptance grid, then at three zetas with
+# the other flags at their defaults: dense_count.bound = 2**(2*zeta) is
+# then over 1024 bits, over the int-to-str digit limit, and one bit under
+# SERIALIZE_BITS_CAP.
+CONSTANTS_ARGS = [
+    ["--delta", str(d), "--tau", str(t), "--beta", str(b)]
+    for d in (1, 2) for t in (0, 1, 2) for b in (2, 3)
+] + [["--zeta", z] for z in ("600", "20000", "1048575")]
+GOLDEN_CONSTANTS = "4c90accf044afa173ef4699c7a48d44fb64ddbbc53578c098014754103e74acd"
+
+
+def test_constants_outputs_match_pinned_digest(tmp_path):
+    digest = hashlib.sha256()
+    out = tmp_path / "ledger.json"
+    for flags in CONSTANTS_ARGS:
+        assert main(["constants", *flags, "--out", str(out)]) == 0, flags
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == GOLDEN_CONSTANTS

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +268,36 @@ def test_cli_exit_codes(tmp_path):
     big.write_text(render_graph(Graph(70, [(i, i + 1) for i in range(69)])))
     assert run_cli("analyze", "--graph", str(big)) == 3
     assert run_cli("analyze", "--graph", str(big), "--solver-limit", "70") == 0
+
+
+def test_cli_constants_refuses_a_base_it_cannot_materialize(capsys):
+    # beta*zeta = 2,200,000: nested.t1 would raise a base holding
+    # 2**2200000 to a power, and that base is never materialized.
+    assert run_cli("constants", "--zeta", "1100000") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "**2200000" in error["message"] and "never materialized" in error["message"]
+
+
+def test_cli_renders_ints_over_the_digit_limit(tmp_path):
+    # At zeta 20000, clean1's report holds ints built from 2**40000,
+    # 12,042 digits: over the default int-to-str limit of 4300.
+    graph_file = tmp_path / "c6.edges"
+    graph_file.write_text(render_graph(Graph(6, [(i, (i + 1) % 6) for i in range(6)])))
+    out = tmp_path / "trace.json"
+    assert run_cli("pipeline", "--graph", str(graph_file), "--zeta", "20000",
+                   "--out", str(out)) == 0
+    text = out.read_text()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(text)
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+        assert len(str(payload["trace"]["stages"][1]["report"]["t"])) > old
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_cli_suite_failure_exit_code(tmp_path, monkeypatch):
