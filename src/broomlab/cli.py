@@ -3,8 +3,9 @@
 Subcommands: gen, analyze, pipeline, audit, lemma-check, constants,
 survey.  All output files are deterministic for fixed inputs and seeds;
 timing diagnostics go to stderr only, never into the artifact.  Exit
-codes: 0 success, 2 parse or parameter error, 3 exact-solver refusal,
-4 property-suite failure.
+codes: 0 success, 2 parse or parameter error (an input file that cannot
+be read or an output file that cannot be written included), 3
+exact-solver refusal, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .constants import ledger
 from .generators import GenSpec, generate
-from .graph_io import GraphParseError, read_graph, render_graph
+from .graph_io import read_graph, render_graph
 from .graphs import Graph
 from .pipeline import run_pipeline
 from .solvers import InstanceTooLarge, _chromatic_given_omega, chi_local, clique_number
@@ -147,12 +148,20 @@ def _load(args) -> tuple[Graph, Params, dict]:
     return g, _params_from_args(args), head
 
 
+def _json_object(value, name: str) -> dict:
+    """Family parameters, which must be a JSON object; ``name`` is the
+    field they were read from."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {json.dumps(value)}")
+    return value
+
+
 def _tag(value) -> dict:
     return {"value": value, "provenance": "exact"}
 
 
 def cmd_gen(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    params = _json_object(json.loads(args.params), "--params") if args.params else {}
     spec = GenSpec(family=args.family, params=params, seed=args.seed)
     g = generate(spec)
     fmt = args.format or ("dimacs" if args.out and args.out.endswith(".col") else "edgelist")
@@ -249,10 +258,10 @@ def cmd_survey(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["id", "family", "n", "omega", "chi", "t_free", "error"])
-    for inst in manifest["instances"]:
+    for i, inst in enumerate(manifest["instances"]):
         spec = GenSpec(
             family=inst["family"],
-            params=inst.get("params", {}),
+            params=_json_object(inst.get("params", {}), f"instances[{i}].params"),
             seed=int(inst.get("seed", 0)),
         )
         row_id = inst.get("id", spec.key())
@@ -332,8 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         _error({"type": "solver_refusal", "message": str(exc),
                 "size": exc.size, "limit": exc.limit})
         return 3
-    except (GraphParseError, json.JSONDecodeError, FileNotFoundError, KeyError,
-            ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # parse errors are ValueErrors
         _error({"type": type(exc).__name__, "message": str(exc)})
         return 2
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
-from .structures import Params
-
 if TYPE_CHECKING:
     from .bignum import PowerSum
+    from .structures import Params
 
 # Nothing reads the digits of truly enormous entries, and producing them
 # would dwarf every other cost: an entry above this many bits serializes

@@ -370,6 +370,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResul
     fn = SUITES[name]
     if trials is None:
         return fn(seed=seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     if name == "pipeline":
         return fn(instances=trials, seed=seed)
     return fn(trials=trials, seed=seed)

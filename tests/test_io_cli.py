@@ -270,13 +270,61 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("analyze", "--graph", str(big), "--solver-limit", "70") == 0
 
 
+def error_of(capsys) -> dict:
+    """The JSON error a refused command put on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("params", ["3", "[1]", '"n"', "null"])
+def test_cli_gen_refuses_params_that_are_not_an_object(params, capsys):
+    assert run_cli("gen", "--family", "cycle", "--params", params) == 2
+    error = error_of(capsys)
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"--params must be a JSON object, not {params}"
+
+
+def test_cli_survey_refuses_params_that_are_not_an_object(tmp_path, capsys):
+    manifest = {"instances": [
+        {"id": "c5", "family": "cycle", "params": {"n": 5}},
+        {"id": "bad", "family": "cycle", "params": 3},
+    ]}
+    mfile = tmp_path / "manifest.json"
+    mfile.write_text(json.dumps(manifest))
+    assert run_cli("survey", "--manifest", str(mfile)) == 2
+    error = error_of(capsys)
+    assert error["type"] == "ValueError"
+    assert error["message"] == "instances[1].params must be a JSON object, not 3"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_lemma_check_refuses_fewer_than_one_trial(tmp_path, trials, capsys):
+    out = tmp_path / "suite.json"
+    assert run_cli("lemma-check", "--suite", "core", "--trials", trials,
+                   "--out", str(out)) == 2
+    assert error_of(capsys)["message"] == f"trials must be at least 1, not {trials}"
+    assert not out.exists()
+
+
+def test_cli_unreadable_and_unwritable_paths_exit_2(tmp_path, capsys):
+    graph_file = tmp_path / "c5.edges"
+    graph_file.write_text(render_graph(Graph(5, [(i, (i + 1) % 5) for i in range(5)])))
+    for argv in (
+        ("analyze", "--graph", str(tmp_path)),
+        ("survey", "--manifest", str(tmp_path)),
+        ("analyze", "--graph", str(graph_file), "--out", str(tmp_path)),
+        ("gen", "--family", "cycle", "--params", '{"n": 4}', "--out", str(tmp_path)),
+    ):
+        assert run_cli(*argv) == 2, argv
+        assert error_of(capsys)["type"] == "IsADirectoryError", argv
+
+
 def test_cli_constants_refuses_a_base_it_cannot_materialize(capsys):
     # beta*zeta = 2,200,000: nested.t1 would raise a base holding
     # 2**2200000 to a power, and that base is never materialized.
     assert run_cli("constants", "--zeta", "1100000") == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    error = json.loads(err)["error"]
+    error = error_of(capsys)
     assert error["type"] == "ValueError"
     assert "**2200000" in error["message"] and "never materialized" in error["message"]
 

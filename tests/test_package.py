@@ -1,0 +1,55 @@
+"""``import broomlab`` loads a submodule only when a public name from it
+is first used."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import broomlab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The broomlab modules a fresh interpreter holds after ``statement``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = (
+        f"{statement}\nimport sys\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'broomlab'))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_importing_submodules_loads_only_those():
+    assert loaded_after("from broomlab import graphs, solvers, trees") == [
+        "broomlab", "broomlab.graphs", "broomlab.solvers", "broomlab.trees",
+    ]
+
+
+def test_constants_does_not_load_structures():
+    loaded = loaded_after("import broomlab.constants")
+    assert "broomlab.constants" in loaded
+    assert "broomlab.structures" not in loaded
+
+
+def test_public_names_are_the_submodules_objects():
+    assert len(broomlab.__all__) == 69
+    for name in broomlab.__all__:
+        module = importlib.import_module(f"broomlab.{broomlab._SUBMODULE[name]}")
+        assert getattr(broomlab, name) is getattr(module, name), name
+    assert set(broomlab.__all__) <= set(dir(broomlab))
+    namespace: dict = {}
+    exec("from broomlab import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(broomlab.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        broomlab.no_such_name
+    assert not hasattr(broomlab, "no_such_name")

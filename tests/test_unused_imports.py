@@ -1,8 +1,7 @@
 """No library module imports a name it never uses.
 
 A deletion that leaves its last import behind (``json`` once the only
-``json.dumps`` goes) fails here.  ``__init__.py`` is skipped: its
-imports are the package's public names.
+``json.dumps`` goes) fails here.
 """
 
 import ast
@@ -44,7 +43,6 @@ def test_no_module_imports_an_unused_name():
     found = {
         path.name: names
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
         for names in [unused_imports(path.read_text())]
         if names
     }
