@@ -262,37 +262,60 @@ FIXTURES = {
 }
 
 
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _field(family: str, params: dict, name: str, convert, default=None):
+    """``params[name]`` read through ``convert``, or ``default`` when the
+    field is absent and a default is given.  A missing field, or a value
+    ``convert`` rejects, raises ``ValueError`` naming the family and the
+    field."""
+    if name not in params and default is None:
+        raise ValueError(f"{family}: missing field {name!r}")
+    value = params.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{family}: bad value {value!r} for field {name!r}") from None
+
+
 def generate(spec: GenSpec) -> Graph:
     """Build the graph a spec describes; deterministic for fixed seed."""
-    fam, p = spec.family, spec.params
+    fam = spec.family
+
+    def field(name: str, convert=int, default=None):
+        return _field(fam, spec.params, name, convert, default)
+
     if fam == "erdos_renyi":
-        return erdos_renyi(int(p["n"]), float(p["p"]), spec.seed)
+        return erdos_renyi(field("n"), field("p", float), spec.seed)
     if fam == "cycle":
-        return cycle(int(p["n"]))
+        return cycle(field("n"))
     if fam == "path":
-        return path(int(p["n"]))
+        return path(field("n"))
     if fam == "complete_multipartite":
-        return complete_multipartite([int(s) for s in p["sizes"]])
+        return complete_multipartite(field("sizes", lambda v: [int(s) for s in v]))
     if fam == "kneser":
-        return kneser(int(p["n"]), int(p["k"]))
+        return kneser(field("n"), field("k"))
     if fam == "mycielski_tower":
-        base_spec = p.get("base", {"family": "cycle", "params": {"n": 5}})
-        base = generate(
-            GenSpec(
-                family=base_spec["family"],
-                params=base_spec.get("params", {}),
-                seed=spec.seed,
-            )
+        base = field("base", _object, {"family": "cycle", "params": {"n": 5}})
+        where = f"{fam}.base"
+        base_spec = GenSpec(
+            family=_field(where, base, "family", str),
+            params=_field(where, base, "params", _object, {}),
+            seed=spec.seed,
         )
-        return mycielski_tower(base, int(p.get("levels", 1)))
+        return mycielski_tower(generate(base_spec), field("levels", default=1))
     if fam == "planted_core":
         g, _ = plant_core(
-            int(p["n"]), int(p["a"]), int(p["b"]),
-            float(p.get("noise_p", 0.0)), spec.seed,
+            field("n"), field("a"), field("b"),
+            field("noise_p", float, 0.0), spec.seed,
         )
         return g
     if fam == "fixture":
-        fid = p["id"]
+        fid = field("id", str)
         if fid not in FIXTURES:
             raise ValueError(f"unknown fixture id {fid!r}")
         return FIXTURES[fid]()

@@ -20,7 +20,7 @@ from .shadows import (
     validate_privatization,
     validate_shadowing,
 )
-from .solvers import chi_memo
+from .solvers import solving
 from .structures import Params, find_core
 from .templates import (
     AuditReport,
@@ -73,9 +73,7 @@ def _check_stage(name: str, arr: TemplateArray) -> None:
         raise StageError(name, problems)
 
 
-def run_pipeline(
-    g: Graph, p: Params, limit: int | None = None
-) -> PipelineTrace:
+def run_pipeline(g: Graph, p: Params, limit: int | None = None) -> PipelineTrace:
     stages: list[tuple[str, TemplateArray, dict]] = []
 
     def stage(name: str, arr: TemplateArray, report: dict) -> TemplateArray:
@@ -83,21 +81,22 @@ def run_pipeline(
         stages.append((name, arr, report))
         return arr
 
-    # Stages colour some vertex sets more than once: one chi memo per run.
-    with chi_memo(g):
-        arr, leftover = extract_template_array(g, p, limit=limit)
+    # One search context per run carries the cap to every stage, and the
+    # vertex sets that stages colour more than once are coloured once.
+    with solving(limit):
+        arr, leftover = extract_template_array(g, p)
         arr = stage("extract", arr, {"leftover": sorted(leftover)})
-        arr = stage("clean1", *clean1(arr, limit=limit))
-        arr = stage("clean2", *clean2(arr, limit=limit))
-        arr, priv, report = privatize(arr, limit=limit)
+        arr = stage("clean1", *clean1(arr))
+        arr = stage("clean2", *clean2(arr))
+        arr, priv, report = privatize(arr)
         arr = stage("privatize", arr, report)
         problems = validate_privatization(arr, priv)
         if problems:
             raise StageError("privatize", problems)
-        arr = stage("clean3", *clean3(arr, limit=limit))
+        arr = stage("clean3", *clean3(arr))
 
         leftover_core_free = (
-            find_core(g, p.zeta, p.beta, limit=limit, within=mask_of(leftover)) is None
+            find_core(g, p.zeta, p.beta, within=mask_of(leftover)) is None
         )
 
         shadow = build_shadowing(arr)
@@ -105,8 +104,8 @@ def run_pipeline(
         if problems:
             raise StageError("shadow", problems)
 
-        audit = bound_audit(arr, privatization=priv, limit=limit)
-        triples = strong_triple_audit(arr, shadow, priv, limit=limit)
+        audit = bound_audit(arr, privatization=priv)
+        triples = strong_triple_audit(arr, shadow, priv)
         return PipelineTrace(
             params=p,
             stages=stages,

@@ -381,9 +381,7 @@ def validate_privatization(arr: TemplateArray, p: Privatization) -> list[str]:
     return problems
 
 
-def privatize(
-    arr: TemplateArray, limit: int | None = None
-) -> tuple[TemplateArray, Privatization, dict]:
+def privatize(arr: TemplateArray) -> tuple[TemplateArray, Privatization, dict]:
     """Apply the private cover to the Z part of a 2-cleaned array.
 
     The clients are the U vertices with no core neighbour; peeling
@@ -419,9 +417,9 @@ def privatize(
         cover_decomposition=pc.decomposition,
         b_source=pc.b_prime,
     )
-    chi_u_before = _chi_or_none(g, arr.u, limit)
-    chi_rest = _chi_or_none(g, out.u - pi, limit)
-    chi_peeled = _chi_or_none(g, pc.b_prime, limit)
+    chi_u_before = _chi_or_none(g, arr.u)
+    chi_rest = _chi_or_none(g, out.u - pi)
+    chi_peeled = _chi_or_none(g, pc.b_prime)
     report = {
         "pass": "privatize",
         "quota": quota,
@@ -440,10 +438,10 @@ def privatize(
     return out, priv, report
 
 
-def _chi_or_none(g: Graph, verts: frozenset[int], limit: int | None) -> int | None:
-    """Exact chi of ``verts``, or None when the set exceeds the solver limit."""
+def _chi_or_none(g: Graph, verts: frozenset[int]) -> int | None:
+    """Exact chi of ``verts``, or None when the solver refuses the set."""
     try:
-        return chi_of_set(g, verts, limit)
+        return chi_of_set(g, verts)
     except InstanceTooLarge:
         return None
 
@@ -478,10 +476,7 @@ class StrongTripleReport:
 
 
 def strong_triple_audit(
-    arr: TemplateArray,
-    s: Shadowing,
-    priv: Privatization,
-    limit: int | None = None,
+    arr: TemplateArray, s: Shadowing, priv: Privatization
 ) -> StrongTripleReport:
     """Enumerate strong triples over the unprivatized blocks and run the
     earlier-to-later orientation check.
@@ -550,7 +545,7 @@ def strong_triple_audit(
         triples_by_base={i: tuple(ts) for i, ts in triples.items()},
         packing_by_base=packing,
         r_bound=r_bound,
-        chi_unprivatized=_chi_or_none(g, arr.u - priv.pi, limit),
+        chi_unprivatized=_chi_or_none(g, arr.u - priv.pi),
         chi_bound=shadow_chi_bound_of(p),
         orientation_palette=palette,
         orientation_proper=proper,

@@ -1,7 +1,7 @@
 """Exact chromatic number, clique number, and the radius-k chromatic measure.
 
-All results here are exact.  Oversized instances are refused with
-:class:`InstanceTooLarge`; nothing is silently approximated.
+Every result here is exact or refused: an oversized instance raises
+:class:`InstanceTooLarge`, and nothing is silently approximated.
 
 ``clique_number`` is a colour-bounded branch and bound on neighbour
 bitmasks.  ``chromatic_number`` takes the clique number as its lower
@@ -19,14 +19,15 @@ clique bound meets it.
 The searches read only a graph's ``n`` and ``bits``, so they also run
 on a :func:`~broomlab.graphs.subset_view` of a vertex set.
 
-Two helpers serve the rest of the library.  :func:`check_limit` is the
-one place the size cap is resolved (``limit`` or
+A :func:`solving` block is the one exact-search context: it holds the
+size cap and a chi memo, so the stages of a pipeline run take neither
+as an argument.  :func:`check_limit` is the one place the cap is
+resolved (an explicit ``limit``, else the innermost block's cap, else
 ``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
 by a vertex set: it refuses by size, then colours a subset view, whose
 ids keep their order and whose degrees are counted inside the set, as
-in ``induced``.  Inside a :func:`chi_memo` block (one per pipeline run)
-it colours each vertex set once.
+in ``induced``.  Inside a block it colours each vertex set once.
 """
 
 from __future__ import annotations
@@ -81,10 +82,36 @@ def validate_coloring(g: Graph, c: Coloring) -> bool:
     return all(colors[u] != colors[v] for u in range(g.n) for v in members(g.bits[u]))
 
 
-def check_limit(what: str, size: int, limit: int | None) -> None:
+# (cap, chi by (graph, vertex mask)) while a ``solving`` block runs.
+_SOLVING: ContextVar[tuple[int, dict[tuple[Graph, int], int]]] = ContextVar("solving")
+
+
+def _cap(limit: int | None) -> int:
+    """``limit``, else the innermost ``solving`` block's cap, else
+    ``DEFAULT_SOLVER_LIMIT``."""
+    if limit is not None:
+        return limit
+    context = _SOLVING.get(None)
+    return DEFAULT_SOLVER_LIMIT if context is None else context[0]
+
+
+@contextmanager
+def solving(limit: int | None = None) -> Iterator[None]:
+    """One exact-search context.  Inside the block, every search refuses
+    above ``limit`` (with None, the enclosing cap) unless it is given
+    its own, and ``chi_of_set`` colours each vertex set of a graph once;
+    the memo is fresh per block and dropped when the block exits."""
+    token = _SOLVING.set((_cap(limit), {}))
+    try:
+        yield
+    finally:
+        _SOLVING.reset(token)
+
+
+def check_limit(what: str, size: int, limit: int | None = None) -> None:
     """Refuse ``what`` on an instance of ``size`` above the cap: ``limit``,
-    or ``DEFAULT_SOLVER_LIMIT`` when it is None."""
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
+    or the ``solving`` context's when it is None."""
+    cap = _cap(limit)
     if size > cap:
         raise InstanceTooLarge(what, size, cap)
 
@@ -331,21 +358,6 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
     return best
 
 
-# (graph, chi by vertex mask) while a ``chi_memo`` block runs.
-_CHI_MEMO: ContextVar[tuple[Graph, dict[int, int]] | None] = ContextVar("chi_memo")
-
-
-@contextmanager
-def chi_memo(g: Graph) -> Iterator[None]:
-    """Inside the block, ``chi_of_set`` colours each vertex set of ``g``
-    once; the memo is dropped when the block exits."""
-    token = _CHI_MEMO.set((g, {}))
-    try:
-        yield
-    finally:
-        _CHI_MEMO.reset(token)
-
-
 def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int:
     """Exact chromatic number of the subgraph induced by ``verts``.
 
@@ -354,10 +366,10 @@ def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int
     ``ValueError``.
     """
     check_limit("chromatic_number", len(verts), limit)
-    mask = mask_of(check_vertex_set(g, verts))
-    memo = _CHI_MEMO.get(None)
-    known = memo[1] if memo is not None and memo[0] is g else {}
-    if mask not in known:
-        view, _ = subset_view(g, mask)
-        known[mask] = chromatic_number(view, limit=limit)[0]
-    return known[mask]
+    key = (g, mask_of(check_vertex_set(g, verts)))
+    context = _SOLVING.get(None)
+    known = {} if context is None else context[1]
+    if key not in known:
+        view, _ = subset_view(*key)
+        known[key] = chromatic_number(view, limit=limit)[0]
+    return known[key]

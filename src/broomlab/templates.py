@@ -328,9 +328,7 @@ def _longest_path(order: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int
 # Extraction
 
 
-def extract_template_array(
-    g: Graph, p: Params, limit: int | None = None
-) -> tuple[TemplateArray, frozenset[int]]:
+def extract_template_array(g: Graph, p: Params) -> tuple[TemplateArray, frozenset[int]]:
     """Greedy template extraction.
 
     Repeatedly find a core in the unclaimed region and absorb every
@@ -351,7 +349,7 @@ def extract_template_array(
         unclaimed = full & ~claimed
         if unclaimed.bit_count() < p.zeta * p.beta:
             break
-        core = find_core(g, p.zeta, p.beta, limit=limit, within=unclaimed)
+        core = find_core(g, p.zeta, p.beta, within=unclaimed)
         if core is None:
             break
         h_new = density_masks(g, core, p.alpha, p.eta)[1]
@@ -369,10 +367,10 @@ def extract_template_array(
 
 
 def _most_chromatic(
-    g: Graph, vertex_sets: list[frozenset[int]], limit: int | None
+    g: Graph, vertex_sets: list[frozenset[int]]
 ) -> tuple[list[int], int]:
     """The exact chi of each set, and the position of the first largest."""
-    chis = [chi_of_set(g, vs, limit) for vs in vertex_sets]
+    chis = [chi_of_set(g, vs) for vs in vertex_sets]
     return chis, chis.index(max(chis))
 
 
@@ -398,9 +396,7 @@ def _subarray(
     return TemplateArray(arr.graph, templates, u, arr.params, cleanliness, partial2_degree)
 
 
-def clean1(
-    arr: TemplateArray, limit: int | None = None
-) -> tuple[TemplateArray, dict]:
+def clean1(arr: TemplateArray) -> tuple[TemplateArray, dict]:
     """First cleaning pass: kill density interactions.
 
     Assign each U vertex to a template it touches (preferring one it is
@@ -439,7 +435,7 @@ def clean1(
         _subarray(arr, keep, _union(buckets[i] for i in keep), "partial1")
         for keep in keeps
     ]
-    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
+    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands])
     report["class_chis"] = class_chis
     report["chosen_class"] = chosen
     partial = cands[chosen]
@@ -451,16 +447,14 @@ def clean1(
     out = replace(partial, u=u_final, cleanliness="clean1")
     report["removed_dense"] = members(dense_left)
     report["chi_removed"] = (
-        chi_of_set(g, frozenset(report["removed_dense"]), limit) if dense_left else 0
+        chi_of_set(g, frozenset(report["removed_dense"])) if dense_left else 0
     )
     if not is_1_cleaned(out):
         raise AssertionError("clean1 output fails its predicate")
     return out, report
 
 
-def clean2(
-    arr: TemplateArray, limit: int | None = None
-) -> tuple[TemplateArray, dict]:
+def clean2(arr: TemplateArray) -> tuple[TemplateArray, dict]:
     """Second cleaning pass: separate the templates from each other.
 
     Colour the index digraph of heavy cross-template attachment, keep
@@ -497,7 +491,7 @@ def clean2(
             default=0,
         )
         cands.append(_subarray(arr, keep, u_c, "partial2", partial2_degree=d_obs))
-    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands], limit)
+    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands])
     partial = cands[chosen]
     report["partial"] = {
         "class_chis": class_chis,
@@ -534,7 +528,7 @@ def clean2(
         h_new = _union(hs_new)
         u_new = frozenset(u for u in u_ids if bits[u] & h_new)
         cands.append(TemplateArray(g, new_templates, u_new, p, "clean2"))
-    class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands], limit)
+    class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands])
     report["split"] = {
         "class_chis_u": class_chis_u,
         "chosen_class": chosen,
@@ -547,9 +541,7 @@ def clean2(
     return out, report
 
 
-def clean3(
-    arr: TemplateArray, limit: int | None = None
-) -> tuple[TemplateArray, dict]:
+def clean3(arr: TemplateArray) -> tuple[TemplateArray, dict]:
     """Third cleaning pass: drop U vertices with too many H neighbours."""
     g, p = arr.graph, arr.params
     if not is_2_cleaned(arr):
@@ -564,7 +556,7 @@ def clean3(
         "pass": "clean3",
         "epsilon": eps,
         "removed": sorted(removed),
-        "chi_removed": chi_of_set(g, removed, limit) if removed else 0,
+        "chi_removed": chi_of_set(g, removed) if removed else 0,
     }
     if not is_3_cleaned(out):
         raise AssertionError("clean3 output fails its predicate")
@@ -719,11 +711,7 @@ COUNTER_RULES = (
 )
 
 
-def bound_audit(
-    arr: TemplateArray,
-    privatization=None,
-    limit: int | None = None,
-) -> AuditReport:
+def bound_audit(arr: TemplateArray, privatization=None) -> AuditReport:
     """Check every per-vertex counter bound the cleaning theory promises.
 
     Each row of ``COUNTER_RULES`` is one rule: its name; the least
@@ -772,15 +760,12 @@ def bound_audit(
             worst=worst,
             violations=tuple(viol),
         )
-    checks["shadow_chi"] = _shadow_chi(arr, privatization, holds, limit)
+    checks["shadow_chi"] = _shadow_chi(arr, privatization, holds)
     return AuditReport(checks=checks)
 
 
 def _shadow_chi(
-    arr: TemplateArray,
-    privatization,
-    holds: Callable[[], bool],
-    limit: int | None,
+    arr: TemplateArray, privatization, holds: Callable[[], bool]
 ) -> AuditCheck:
     """Chromatic bound on the unprivatized part of U."""
     if privatization is None:
@@ -794,7 +779,7 @@ def _shadow_chi(
             "shadow_chi", "skipped", reason="second-neighbourhood hypothesis fails"
         )
     try:
-        chi = chi_of_set(arr.graph, arr.u - privatization.pi, limit)
+        chi = chi_of_set(arr.graph, arr.u - privatization.pi)
     except InstanceTooLarge:
         return AuditCheck(
             "shadow_chi",

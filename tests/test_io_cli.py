@@ -298,6 +298,36 @@ def test_cli_survey_refuses_params_that_are_not_an_object(tmp_path, capsys):
     assert error["message"] == "instances[1].params must be a JSON object, not 3"
 
 
+@pytest.mark.parametrize("via", ["gen", "survey"])
+@pytest.mark.parametrize("family, params, message", [
+    ("complete_multipartite", {"sizes": 3},
+     "complete_multipartite: bad value 3 for field 'sizes'"),
+    ("cycle", {"n": [4]}, "cycle: bad value [4] for field 'n'"),
+    ("cycle", {}, "cycle: missing field 'n'"),
+    ("erdos_renyi", {"n": 5, "p": "x"}, "erdos_renyi: bad value 'x' for field 'p'"),
+    ("mycielski_tower", {"base": {"family": "cycle", "params": 3}},
+     "mycielski_tower.base: bad value 3 for field 'params'"),
+    ("mycielski_tower", {"base": {"params": {"n": 4}}},
+     "mycielski_tower.base: missing field 'family'"),
+    ("mycielski_tower", {"base": {"family": "cycle", "params": {"n": None}}},
+     "cycle: bad value None for field 'n'"),
+])
+def test_cli_refuses_mistyped_or_missing_family_fields(
+    tmp_path, capsys, via, family, params, message
+):
+    if via == "gen":
+        code = run_cli("gen", "--family", family, "--params", json.dumps(params))
+    else:
+        mfile = tmp_path / "manifest.json"
+        mfile.write_text(json.dumps({"instances": [
+            {"id": "c5", "family": "cycle", "params": {"n": 5}},
+            {"id": "bad", "family": family, "params": params},
+        ]}))
+        code = run_cli("survey", "--manifest", str(mfile))
+    assert code == 2
+    assert error_of(capsys) == {"type": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_cli_lemma_check_refuses_fewer_than_one_trial(tmp_path, trials, capsys):
     out = tmp_path / "suite.json"

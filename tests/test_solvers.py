@@ -11,11 +11,11 @@ from broomlab.solvers import (
     InstanceTooLarge,
     _k_colorable,
     chi_local,
-    chi_memo,
     chi_of_set,
     chromatic_number,
     clique_number,
     greedy_coloring,
+    solving,
     validate_coloring,
 )
 
@@ -308,20 +308,67 @@ def _count_chromatic(monkeypatch) -> list[int]:
     return calls
 
 
-def test_chi_memo_lives_for_one_block(monkeypatch):
+def test_solving_memo_lives_for_one_block(monkeypatch):
     calls = _count_chromatic(monkeypatch)
     g = cycle(7)
     s = frozenset({0, 1, 2, 4})
-    with chi_memo(g):
+    with solving():
         assert [chi_of_set(g, s) for _ in range(3)] == [2, 2, 2]
         assert calls[0] == 1
         chi_of_set(cycle(9), s)  # another graph is not served from the memo
         assert calls[0] == 2
-    with chi_memo(g):
+        with solving():  # a nested block opens a fresh memo
+            chi_of_set(g, s)
+            chi_of_set(g, s)
+        chi_of_set(g, s)  # and the outer one is back once it exits
+        assert calls[0] == 3
+    with solving():
         chi_of_set(g, s)
     chi_of_set(g, s)
     chi_of_set(g, s)
-    assert calls[0] == 5
+    assert calls[0] == 6
+
+
+def _refusal(call) -> tuple[str, int, int]:
+    with pytest.raises(InstanceTooLarge) as info:
+        call()
+    return info.value.what, info.value.size, info.value.limit
+
+
+def test_solving_block_sets_the_cap():
+    g = cycle(8)
+    assert chromatic_number(g)[0] == 2  # outside every block: cap 64
+    with solving(10):
+        assert chromatic_number(g)[0] == 2
+        with solving(5):
+            assert _refusal(lambda: clique_number(g)) == ("clique_number", 8, 5)
+            assert _refusal(lambda: chi_of_set(g, frozenset(range(6)))) == (
+                "chromatic_number", 6, 5)
+            with solving():  # keeps the enclosing cap
+                assert _refusal(lambda: chromatic_number(g)) == (
+                    "chromatic_number", 8, 5)
+            # An explicit limit beats the block's cap, up or down.
+            assert chromatic_number(g, limit=8)[0] == 2
+            assert chi_of_set(g, frozenset(range(8)), limit=9) == 2
+        # The outer cap is back once the inner block exits.
+        assert chromatic_number(g)[0] == 2
+        assert _refusal(lambda: chromatic_number(cycle(11))) == (
+            "chromatic_number", 11, 10)
+        assert _refusal(lambda: chi_local(g, 1, limit=2)) == ("chi_local(k=1)", 3, 2)
+    assert chromatic_number(erdos_renyi(40, 0.1, 1))[0] >= 2  # cap 64 again
+
+
+def test_run_pipeline_limit_reaches_the_stages():
+    from broomlab.pipeline import run_pipeline
+    from broomlab.structures import Params
+
+    # Two disjoint K(2,2) cores: extract finds both, so its core search
+    # covers the whole 8-vertex graph and refuses under a cap of 7.
+    g = Graph(8, [(u, v) for base in (0, 4) for u in (base, base + 1)
+                  for v in (base + 2, base + 3)])
+    p = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+    run_pipeline(g, p, limit=8)
+    assert _refusal(lambda: run_pipeline(g, p, limit=7)) == ("find_core", 8, 7)
 
 
 def test_pipeline_runs_do_not_share_a_memo(monkeypatch):

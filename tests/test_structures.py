@@ -283,12 +283,19 @@ def test_max_matching_covered_chi_examples(k4):
     assert max_matching_covered_chi(k4, 1).status == "pass_exhaustive"
 
 
-def test_max_matching_covered_sampling():
+def test_max_matching_covered_refuses_above_the_exhaustive_limit():
     big = Graph(20, [(i, i + 1) for i in range(19)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InstanceTooLarge) as info:
         max_matching_covered_chi(big, 1)
-    verdict = max_matching_covered_chi(big, 2, sample_budget=200, seed=3)
-    assert verdict.status == "pass_sampled"
+    assert str(info.value) == "max_matching_covered_chi: size 20 exceeds solver limit 16"
+    with pytest.raises(InstanceTooLarge) as info:
+        max_matching_covered_chi(Graph(4, [(0, 1), (0, 2), (1, 3)]), 1, exhaustive_limit=3)
+    assert str(info.value) == "max_matching_covered_chi: size 4 exceeds solver limit 3"
+    # The host check refuses too: it never passes a host it did not scan.
+    p = Params(delta=1, tau=2, alpha=1, beta=2, zeta=2, eta=1)
+    with pytest.raises(InstanceTooLarge):
+        check_conditions(big, p)
+    assert max_matching_covered_chi(Graph(16), 1).status == "pass_exhaustive"
 
 
 def test_theta_table():

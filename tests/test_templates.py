@@ -7,7 +7,7 @@ from broomlab.constants import epsilon_of, shadow_chi_bound_of
 from broomlab.generators import FIXTURES, complete_multipartite
 from broomlab.graphs import Digraph, Graph
 from broomlab.shadows import Privatization
-from broomlab.solvers import validate_coloring
+from broomlab.solvers import solving, validate_coloring
 from broomlab.structures import CoreWitness, Params
 from broomlab.templates import (
     AuditViolation,
@@ -604,7 +604,8 @@ AUDIT_CASES = [
 @pytest.mark.parametrize("case", range(len(AUDIT_CASES)))
 def test_bound_audit_rule_statuses(case):
     arr, priv, limit, expected = AUDIT_CASES[case]
-    report = bound_audit(arr, privatization=priv, limit=limit).to_json_dict()
+    with solving(limit):
+        report = bound_audit(arr, privatization=priv).to_json_dict()
     assert list(report) == [
         "core_contacts", "template_contacts", "strong_contacts",
         "dense_count", "nested_indices", "shadow_chi",
