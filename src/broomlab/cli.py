@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .constants import ledger
-from .generators import GenSpec, generate
+from .generators import GenSpec, _field, generate
 from .graph_io import read_graph, render_graph
 from .graphs import Graph
 from .pipeline import run_pipeline
@@ -149,8 +149,8 @@ def _load(args) -> tuple[Graph, Params, dict]:
 
 
 def _json_object(value, name: str) -> dict:
-    """Family parameters, which must be a JSON object; ``name`` is the
-    field they were read from."""
+    """``value``, which must be a JSON object; ``name`` is the field it
+    was read from."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, not {json.dumps(value)}")
     return value
@@ -250,19 +250,24 @@ def cmd_constants(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    analysis = manifest.get("analysis", {})
-    delta = int(analysis.get("delta", 1))
-    beta = int(analysis.get("beta", 2))
+    manifest = _json_object(json.loads(Path(args.manifest).read_text()), "the manifest")
+    analysis = _json_object(manifest.get("analysis", {}), "analysis")
+    delta = _field("analysis", analysis, "delta", int, 1)
+    _field("analysis", analysis, "beta", int, 2)  # checked; no column reads it
+    instances = manifest["instances"]
+    if not isinstance(instances, list):
+        raise ValueError(f"instances must be a JSON array, not {json.dumps(instances)}")
     limit = args.solver_limit
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["id", "family", "n", "omega", "chi", "t_free", "error"])
-    for i, inst in enumerate(manifest["instances"]):
+    for i, inst in enumerate(instances):
+        where = f"instances[{i}]"
+        _json_object(inst, where)
         spec = GenSpec(
             family=inst["family"],
-            params=_json_object(inst.get("params", {}), f"instances[{i}].params"),
-            seed=int(inst.get("seed", 0)),
+            params=_json_object(inst.get("params", {}), f"{where}.params"),
+            seed=_field(where, inst, "seed", int, 0),
         )
         row_id = inst.get("id", spec.key())
         try:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
-from .graphs import Graph, members
+from .graphs import MAX_VERTICES, Graph, members
 from .structures import CoreWitness
 
 
@@ -63,6 +64,10 @@ def kneser(n: int, k: int) -> Graph:
     edges join disjoint subsets.  kneser(5, 2) is the Petersen graph."""
     if k < 1 or n < 2 * k:
         raise ValueError("kneser needs n >= 2k and k >= 1")
+    # Refuse as Graph would, before building the subsets.
+    count = comb(n, k)
+    if count > MAX_VERTICES:
+        raise ValueError(f"vertex count {count} outside 0..{MAX_VERTICES}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     edges = []

@@ -340,6 +340,14 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
 
     The null graph scores 0.  The solver limit applies to the largest
     ball, not to the graph itself.
+
+    Distinct balls are walked in vertex order.  A ball whose DSATUR
+    palette is no larger than the best chi so far is skipped, and the
+    walk stops once the best chi reaches the DSATUR palette of ``g``.
+    Both bounds are exact: a ball induces a subgraph of ``g``, so its
+    chi is at most the host's chi, hence at most the host's palette, and
+    at most the ball's own palette.  Only the remaining balls are
+    coloured exactly.
     """
     if k < 1:
         raise ValueError("radius must be positive")
@@ -348,13 +356,17 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
     balls = [neighborhood_closed(g, v, k) for v in range(g.n)]
     biggest = max(len(b) for b in balls)
     check_limit(f"chi_local(k={k})", biggest, limit)
+    cap = greedy_coloring(g).palette_size
     best = 0
     seen: set[frozenset[int]] = set()
     for ball in balls:
+        if best == cap:
+            break
         if ball in seen:
             continue
         seen.add(ball)
-        best = max(best, chi_of_set(g, ball, limit))
+        if greedy_coloring(subset_view(g, mask_of(ball))[0]).palette_size > best:
+            best = max(best, chi_of_set(g, ball, limit))
     return best
 
 

@@ -49,6 +49,17 @@ def test_kneser_degrees():
         kneser(3, 2)
 
 
+def test_kneser_refuses_too_many_vertices_before_building_them(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kneser built its subsets")
+
+    monkeypatch.setattr("broomlab.generators.combinations", refuse)
+    for n, k, count in ((36, 3, 7140), (10**6, 3, math.comb(10**6, 3))):
+        with pytest.raises(ValueError) as info:
+            generate(GenSpec("kneser", {"n": n, "k": k}))
+        assert str(info.value) == f"vertex count {count} outside 0..4096"
+
+
 def test_mycielski_tower():
     g1 = mycielski_tower(cycle(5), 1)
     assert g1.n == 11

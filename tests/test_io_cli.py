@@ -298,6 +298,27 @@ def test_cli_survey_refuses_params_that_are_not_an_object(tmp_path, capsys):
     assert error["message"] == "instances[1].params must be a JSON object, not 3"
 
 
+@pytest.mark.parametrize("manifest, message", [
+    ([], "the manifest must be a JSON object, not []"),
+    ({"analysis": 1, "instances": []}, "analysis must be a JSON object, not 1"),
+    ({"analysis": {"delta": "x"}, "instances": []},
+     "analysis: bad value 'x' for field 'delta'"),
+    ({"analysis": {"beta": [2]}, "instances": []},
+     "analysis: bad value [2] for field 'beta'"),
+    ({"instances": {"family": "cycle"}},
+     'instances must be a JSON array, not {"family": "cycle"}'),
+    ({"instances": [{"family": "cycle", "params": {"n": 5}}, 3]},
+     "instances[1] must be a JSON object, not 3"),
+    ({"instances": [{"family": "cycle", "params": {"n": 5}, "seed": [1]}]},
+     "instances[0]: bad value [1] for field 'seed'"),
+])
+def test_cli_survey_refuses_mistyped_manifest_fields(tmp_path, capsys, manifest, message):
+    mfile = tmp_path / "manifest.json"
+    mfile.write_text(json.dumps(manifest))
+    assert run_cli("survey", "--manifest", str(mfile)) == 2
+    assert error_of(capsys) == {"type": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("via", ["gen", "survey"])
 @pytest.mark.parametrize("family, params, message", [
     ("complete_multipartite", {"sizes": 3},
