@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .constants import ledger
-from .generators import GenSpec, _field, generate
+from .generators import GenSpec, _field, _string, generate
 from .graph_io import read_graph, render_graph
 from .graphs import Graph
 from .pipeline import run_pipeline
@@ -156,6 +156,14 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
+def _solver_limit(args) -> int | None:
+    """``--solver-limit``, refused when below 0 before any work starts."""
+    limit = args.solver_limit
+    if limit is not None and limit < 0:
+        raise ValueError(f"--solver-limit must be at least 0, not {limit}")
+    return limit
+
+
 def _tag(value) -> dict:
     return {"value": value, "provenance": "exact"}
 
@@ -170,8 +178,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    limit = _solver_limit(args)
     g, p, head = _load(args)
-    limit = args.solver_limit
     omega, omega_witness = clique_number(g, limit=limit)
     chi, _ = _chromatic_given_omega(g, omega)
     chi1 = chi_local(g, 1, limit=limit) if g.n else 0
@@ -203,9 +211,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    limit = _solver_limit(args)
     g, p, head = _load(args)
     started = time.perf_counter()
-    trace = run_pipeline(g, p, limit=args.solver_limit)
+    trace = run_pipeline(g, p, limit=limit)
     elapsed = time.perf_counter() - started
     print(f"pipeline completed in {elapsed:.3f}s", file=sys.stderr)
     payload = {**head, "params": p.as_dict(), "trace": trace.to_json_dict()}
@@ -214,8 +223,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    limit = _solver_limit(args)
     g, p, head = _load(args)
-    trace = run_pipeline(g, p, limit=args.solver_limit)
+    trace = run_pipeline(g, p, limit=limit)
     payload = {
         **head,
         "audit": trace.audit.to_json_dict(),
@@ -250,14 +260,14 @@ def cmd_constants(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    limit = _solver_limit(args)
     manifest = _json_object(json.loads(Path(args.manifest).read_text()), "the manifest")
     analysis = _json_object(manifest.get("analysis", {}), "analysis")
     delta = _field("analysis", analysis, "delta", int, 1)
     _field("analysis", analysis, "beta", int, 2)  # checked; no column reads it
-    instances = manifest["instances"]
+    instances = _field("the manifest", manifest, "instances", lambda v: v)
     if not isinstance(instances, list):
         raise ValueError(f"instances must be a JSON array, not {json.dumps(instances)}")
-    limit = args.solver_limit
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["id", "family", "n", "omega", "chi", "t_free", "error"])
@@ -265,11 +275,11 @@ def cmd_survey(args) -> int:
         where = f"instances[{i}]"
         _json_object(inst, where)
         spec = GenSpec(
-            family=inst["family"],
+            family=_field(where, inst, "family", _string),
             params=_json_object(inst.get("params", {}), f"{where}.params"),
             seed=_field(where, inst, "seed", int, 0),
         )
-        row_id = inst.get("id", spec.key())
+        row_id = _field(where, inst, "id", _string, spec.key())
         try:
             g = generate(spec)
             omega, _ = clique_number(g, limit=limit)

@@ -62,7 +62,7 @@ class ConstantsLedger:
                 return e.value
         raise KeyError(key)
 
-    def to_json_dict(self, bits_cap: int = SERIALIZE_BITS_CAP) -> dict:
+    def to_json_dict(self) -> dict:
         out: dict = {
             "params": self.params.as_dict(),
             "entries": [],
@@ -73,7 +73,7 @@ class ConstantsLedger:
         for e in self.entries:
             bl = e.value.bit_length()
             item = {"key": e.key, "rule": e.rule, "formula": e.formula}
-            if bl <= bits_cap:
+            if bl <= SERIALIZE_BITS_CAP:
                 item["decimal"] = decimal_string(e.value, powers)
             else:
                 item["decimal"] = None

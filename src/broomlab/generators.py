@@ -273,6 +273,12 @@ def _object(value) -> dict:
     return value
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a JSON string")
+    return value
+
+
 def _field(family: str, params: dict, name: str, convert, default=None):
     """``params[name]`` read through ``convert``, or ``default`` when the
     field is absent and a default is given.  A missing field, or a value
@@ -308,7 +314,7 @@ def generate(spec: GenSpec) -> Graph:
         base = field("base", _object, {"family": "cycle", "params": {"n": 5}})
         where = f"{fam}.base"
         base_spec = GenSpec(
-            family=_field(where, base, "family", str),
+            family=_field(where, base, "family", _string),
             params=_field(where, base, "params", _object, {}),
             seed=spec.seed,
         )
@@ -320,7 +326,7 @@ def generate(spec: GenSpec) -> Graph:
         )
         return g
     if fam == "fixture":
-        fid = field("id", str)
+        fid = field("id", _string)
         if fid not in FIXTURES:
             raise ValueError(f"unknown fixture id {fid!r}")
         return FIXTURES[fid]()

@@ -5,8 +5,10 @@ the near end is the handle.  Multibrooms glue brooms at a shared handle.
 The containment search is exact backtracking: induced tree matching in
 general hosts is NP-hard, so candidates are pruned hard by degree, by
 non-adjacency against already-placed vertices, by ordering
-interchangeable sibling subtrees, and by a look-ahead that each placed
-vertex still has enough hosts left for its children.
+interchangeable sibling subtrees, by a look-ahead that each placed
+vertex still has enough hosts left for its children, and by a far-supply
+look-ahead that enough hosts next to no placed vertex remain for the
+positions whose parent is not yet placed.
 """
 
 from __future__ import annotations
@@ -155,9 +157,13 @@ def contains_induced(
     be given its remaining children: each of them needs a distinct host
     that is adjacent to its parent's image, unused, next to no other
     placed vertex and of high enough degree, and that supply only shrinks
-    as the search goes deeper.  So only branches that cannot complete are
-    cut; the order of the search is unchanged, and so is the first
-    embedding it finds.
+    as the search goes deeper.  A far-supply look-ahead does the same for
+    the far positions of position i, those whose parent comes after i:
+    every pattern neighbour of such a position is still unplaced, so each
+    needs a distinct host that is unused, next to no placed vertex and of
+    high enough degree.  So only branches that cannot complete are cut;
+    the order of the search is unchanged, and so is the first embedding
+    it finds.
     """
     check_limit("contains_induced", host.n, limit)
     pn = pattern.tree.n
@@ -201,6 +207,13 @@ def contains_induced(
         for i in range(j, kids[-1] if kids else j):
             rest = [c for c in kids if c > i]
             opens[i].append((j, len(rest), masks[min(pdeg[c] for c in rest)]))
+    # far[i]: (count, fit) of the positions whose parent comes after i;
+    # each takes a distinct host from fit that touches no placed host.
+    far = [(0, 0)] * pn
+    for i in range(pn):
+        rest = [pdeg[c] for c in range(i + 1, pn) if parents[c] > i]
+        if rest:
+            far[i] = (len(rest), masks[min(rest)])
     mapping = [-1] * pn
 
     def place(i: int, used: int, once: int, twice: int) -> bool:
@@ -212,6 +225,7 @@ def contains_induced(
             cand &= hbits[mapping[parents[i]]]
         if twin[i] >= 0:
             cand &= ~((2 << mapping[twin[i]]) - 1)
+        far_need, far_fit = far[i]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -219,6 +233,8 @@ def contains_induced(
             mapping[i] = h
             nb = hbits[h]
             used_h = used | low
+            if far_need and (far_fit & ~(used_h | once | nb)).bit_count() < far_need:
+                continue
             twice_h = twice | (once & nb)
             free = ~(used_h | twice_h)
             for j, need, fit in opens[i]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from broomlab import constants
 from broomlab.bignum import PowerSum, UndecidedComparison, decimal_string
 from broomlab.constants import (
     DECIMAL_LEAF_BITS,
@@ -186,9 +187,10 @@ def test_serialization_decimal_strings():
     assert json.loads(text)["params"]["delta"] == 1
 
 
-def test_serialization_truncates_huge_entries():
+def test_serialization_truncates_huge_entries(monkeypatch):
     lg = ledger(spec_params())
-    payload = lg.to_json_dict(bits_cap=8)
+    monkeypatch.setattr(constants, "SERIALIZE_BITS_CAP", 8)
+    payload = lg.to_json_dict()
     by_key = {e["key"]: e for e in payload["entries"]}
     assert by_key["strong_contacts.s"]["decimal"] is None
     assert by_key["strong_contacts.s"]["truncated"] is True

@@ -311,6 +311,17 @@ def test_cli_survey_refuses_params_that_are_not_an_object(tmp_path, capsys):
      "instances[1] must be a JSON object, not 3"),
     ({"instances": [{"family": "cycle", "params": {"n": 5}, "seed": [1]}]},
      "instances[0]: bad value [1] for field 'seed'"),
+    ({"analysis": {"delta": 1}}, "the manifest: missing field 'instances'"),
+    ({"instances": [{"id": "c5", "params": {"n": 5}}]},
+     "instances[0]: missing field 'family'"),
+    ({"instances": [{"family": ["cycle"], "params": {"n": 5}}]},
+     "instances[0]: bad value ['cycle'] for field 'family'"),
+    ({"instances": [{"id": [1], "family": "cycle", "params": {"n": 5}}]},
+     "instances[0]: bad value [1] for field 'id'"),
+    ({"instances": [{"id": {"a": 1}, "family": "cycle", "params": {"n": 5}}]},
+     "instances[0]: bad value {'a': 1} for field 'id'"),
+    ({"instances": [{"id": 7, "family": "cycle", "params": {"n": 5}}]},
+     "instances[0]: bad value 7 for field 'id'"),
 ])
 def test_cli_survey_refuses_mistyped_manifest_fields(tmp_path, capsys, manifest, message):
     mfile = tmp_path / "manifest.json"
@@ -332,6 +343,9 @@ def test_cli_survey_refuses_mistyped_manifest_fields(tmp_path, capsys, manifest,
      "mycielski_tower.base: missing field 'family'"),
     ("mycielski_tower", {"base": {"family": "cycle", "params": {"n": None}}},
      "cycle: bad value None for field 'n'"),
+    ("mycielski_tower", {"base": {"family": ["cycle"]}},
+     "mycielski_tower.base: bad value ['cycle'] for field 'family'"),
+    ("fixture", {"id": 3}, "fixture: bad value 3 for field 'id'"),
 ])
 def test_cli_refuses_mistyped_or_missing_family_fields(
     tmp_path, capsys, via, family, params, message
@@ -355,6 +369,18 @@ def test_cli_lemma_check_refuses_fewer_than_one_trial(tmp_path, trials, capsys):
     assert run_cli("lemma-check", "--suite", "core", "--trials", trials,
                    "--out", str(out)) == 2
     assert error_of(capsys)["message"] == f"trials must be at least 1, not {trials}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline", "audit", "survey"])
+def test_cli_refuses_a_negative_solver_limit(tmp_path, command, capsys):
+    # Refused before the input is read: the input file does not exist.
+    source = "--manifest" if command == "survey" else "--graph"
+    out = tmp_path / "out"
+    assert run_cli(command, source, str(tmp_path / "missing"),
+                   "--solver-limit", "-1", "--out", str(out)) == 2
+    assert error_of(capsys) == {
+        "type": "ValueError", "message": "--solver-limit must be at least 0, not -1"}
     assert not out.exists()
 
 

@@ -211,11 +211,37 @@ def test_look_ahead_keeps_least_embedding():
         assert (None if emb is None else emb.as_dict()) == want
         found += want is not None
     assert 20 <= found < 40, found
-    # The cut itself, counted in search nodes (calls of the inner
-    # ``place``): 3014 with the look-ahead, 15887 without it, 9361 when
-    # each position's last child goes unchecked, 15662 when hosts next to
-    # two placed vertices count as free.
-    assert 0 < nodes[0] <= 3014, nodes[0]
+    # The cuts themselves, counted in search nodes (calls of the inner
+    # ``place``): 1943 with the child-supply and far-supply look-aheads,
+    # 3014 without the far-supply one (also when its supply counts hosts
+    # next to placed vertices), 7321 with only the far-supply one, 15887
+    # with neither.  Without the far-supply cut: 9361 when each
+    # position's last child goes unchecked, 15662 when hosts next to two
+    # placed vertices count as free.
+    assert 0 < nodes[0] <= 1943, nodes[0]
+
+
+def test_far_supply_keeps_least_embedding():
+    # The far-supply cut on small hosts, about half with a planted copy:
+    # the witness is the least embedding and the verdict is the oracle's.
+    patterns = [
+        build_T(2),
+        build_multibroom([(2, 2), (1, 1)]),
+        build_multibroom([(1, 3), (2, 1), (1, 1)]),
+    ]
+    rng = random.Random(23)
+    found = 0
+    for trial in range(36):
+        pattern = patterns[trial % len(patterns)]
+        host = random_graph(rng, rng.randint(pattern.tree.n, 16), rng.uniform(0.1, 0.4))
+        if trial % 2:
+            host = plant(rng, host, pattern)
+        emb = contains_induced(host, pattern)
+        want = least_embedding_brute(host, pattern)
+        assert (None if emb is None else emb.as_dict()) == want
+        assert (emb is not None) == contains_induced_oracle(host, pattern.tree)
+        found += want is not None
+    assert 12 <= found < 36, found
 
 
 def test_single_vertex_pattern(pet):
