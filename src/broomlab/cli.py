@@ -6,6 +6,11 @@ timing diagnostics go to stderr only, never into the artifact.  Exit
 codes: 0 success, 2 parse or parameter error (an input file that cannot
 be read or an output file that cannot be written included), 3
 exact-solver refusal, 4 property-suite failure.
+
+An existing ``--out`` file is overwritten in place and cut to the new
+length, not truncated first; devices and FIFOs are not truncated.  A
+write interrupted midway can leave new bytes followed by old ones, where
+truncating first would have left a short file.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import dataclasses
 import functools
 import io
 import json
+import os
+import stat
 import sys
 import time
 from json.encoder import INFINITY, encode_basestring_ascii
@@ -56,10 +63,27 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, newline="")
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty.
+
+    An existing file is overwritten in place and then cut to the new
+    length, where opening with ``O_TRUNC`` would first free its blocks:
+    reruns rewrite the same paths, and freeing and reallocating cost
+    several times the write.  Devices and FIFOs are not truncated
+    (``O_TRUNC`` never applied to them either).  A write interrupted
+    midway can leave new bytes followed by old ones, where truncating
+    first would have left a short file.  The bytes and a new file's mode
+    are those of ``Path.write_text(text, newline="")``: the locale
+    encoding, newlines untranslated, 0o666 less the umask.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    # Path() drops a trailing slash: "dir/" is reported as "dir", "new/" creates "new".
+    fd = os.open(Path(out), os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
 
 
 def _key(k) -> str:

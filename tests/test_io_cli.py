@@ -1,5 +1,10 @@
+import errno
 import json
+import locale
+import os
+import stat
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +400,94 @@ def test_cli_unreadable_and_unwritable_paths_exit_2(tmp_path, capsys):
     ):
         assert run_cli(*argv) == 2, argv
         assert error_of(capsys)["type"] == "IsADirectoryError", argv
+
+
+def _out_commands(tmp_path) -> dict:
+    """The argv, less ``--out``, of four commands that write an output file."""
+    graph_file = tmp_path / "c6.edges"
+    graph_file.write_text(render_graph(Graph(6, [(i, (i + 1) % 6) for i in range(6)])))
+    # A non-ASCII id shows the CSV goes out in the locale encoding.
+    pet = "p\u00e9t" if "\u00e9".encode(locale.getpreferredencoding(False), "ignore") else "pet"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"analysis": {"delta": 1}, "instances": [
+        {"id": pet, "family": "fixture", "params": {"id": "petersen"}},
+        {"id": "g1", "family": "erdos_renyi", "params": {"n": 18, "p": 0.2}, "seed": 3},
+    ]}))
+    return {
+        "gen": ("gen", "--family", "erdos_renyi", "--params", '{"n": 14, "p": 0.3}',
+                "--seed", "5"),
+        "pipeline": ("pipeline", "--graph", str(graph_file)),
+        "constants": ("constants", "--delta", "1", "--tau", "1"),
+        "survey": ("survey", "--manifest", str(manifest)),
+    }
+
+
+def _written_bytes(tmp_path, text: str) -> bytes:
+    """The bytes ``Path.write_text(text, newline="")`` puts in a new file."""
+    want_file = tmp_path / "want"
+    want_file.write_text(text, newline="")
+    return want_file.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen", "pipeline", "constants", "survey"])
+def test_cli_rewrites_an_existing_out_file_byte_for_byte(tmp_path, capsys, command):
+    # An existing --out file is overwritten in place and cut to the new
+    # length; whatever it held, the result is what a new path gets.
+    argv = _out_commands(tmp_path)[command]
+    assert run_cli(*argv) == 0
+    want = _written_bytes(tmp_path, capsys.readouterr().out)
+    umask = os.umask(0)
+    os.umask(umask)
+    befores = {"none": None, "longer": b"#" * (2 * len(want) + 4096),
+               "same length": b"#" * len(want), "shorter": b"#"}
+    for name, before in befores.items():
+        out = tmp_path / f"out {name}"
+        if before is not None:
+            out.write_bytes(before)
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == want, name
+    # As Path.write_text: 0o666 less the umask, not os.open's 0o777.
+    assert stat.S_IMODE((tmp_path / "out none").stat().st_mode) == 0o666 & ~umask
+
+
+def test_cli_out_to_the_null_device(tmp_path, capsys):
+    for argv in _out_commands(tmp_path).values():
+        assert run_cli(*argv, "--out", os.devnull) == 0, argv
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_cli_out_to_a_fifo(tmp_path, capsys):
+    # A FIFO is written, not truncated; its reader gets every byte.
+    argv = _out_commands(tmp_path)["survey"]
+    assert run_cli(*argv) == 0
+    want = _written_bytes(tmp_path, capsys.readouterr().out)
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(*argv, "--out", str(fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [want]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX errno and path texts")
+def test_cli_unwritable_out_reports_the_os_error(tmp_path, capsys):
+    # The error names the path as Path(out) does: a trailing slash is
+    # dropped, so "dir/" is reported as "dir" and "new/" creates "new".
+    argv = ("gen", "--family", "cycle", "--params", '{"n": 4}', "--out")
+    missing = tmp_path / "missing" / "g.edges"
+    for out, code, path in ((str(tmp_path), errno.EISDIR, tmp_path),
+                            (f"{tmp_path}/", errno.EISDIR, tmp_path),
+                            (str(missing), errno.ENOENT, missing)):
+        assert run_cli(*argv, out) == 2, out
+        exc = OSError(code, os.strerror(code), str(path))
+        assert error_of(capsys) == {"type": type(exc).__name__, "message": str(exc)}
+    assert not missing.parent.exists()
+    assert run_cli(*argv, f"{tmp_path / 'new'}/") == 0
+    assert (tmp_path / "new").is_file()
 
 
 def test_cli_constants_refuses_a_base_it_cannot_materialize(capsys):
