@@ -288,7 +288,6 @@ def cmd_survey(args) -> int:
     manifest = _json_object(json.loads(Path(args.manifest).read_text()), "the manifest")
     analysis = _json_object(manifest.get("analysis", {}), "analysis")
     delta = _field("analysis", analysis, "delta", int, 1)
-    _field("analysis", analysis, "beta", int, 2)  # checked; no column reads it
     instances = _field("the manifest", manifest, "instances", lambda v: v)
     if not isinstance(instances, list):
         raise ValueError(f"instances must be a JSON array, not {json.dumps(instances)}")

@@ -102,18 +102,6 @@ class Daisy:
     root_index: int
     petal_index: int
 
-    def vertices(self) -> frozenset[int]:
-        return self.petals | {self.root, self.eye}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "eye": self.eye,
-            "petals": sorted(self.petals),
-            "root_index": self.root_index,
-            "petal_index": self.petal_index,
-        }
-
 
 def validate_daisy(arr: TemplateArray, s: Shadowing, d: Daisy) -> list[str]:
     g, p = arr.graph, arr.params

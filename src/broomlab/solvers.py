@@ -4,9 +4,17 @@ Every result here is exact or refused: an oversized instance raises
 :class:`InstanceTooLarge`, and nothing is silently approximated.
 
 ``clique_number`` is a colour-bounded branch and bound on neighbour
-bitmasks.  ``chromatic_number`` takes the clique number as its lower
-bound and a greedy DSATUR colouring as its upper bound, then asks a
-DSATUR backtracking search for a k-colouring at each k in between.  Both
+bitmasks.  Its bound is a first-fit colouring of the candidates in id
+order, built one class at a time as repeated greedy stable sets (San
+Segundo et al., Optim. Lett. 2013), so placing a vertex costs one mask
+operation instead of a scan over the classes.  A vertex's bound is the
+number of classes whose lowest vertex is at or below it: the same
+numbers first-fit gives, tested at the same vertices, so the search
+tree and the witness are those of the vertex-at-a-time colouring.
+
+``chromatic_number`` takes the clique number as its lower bound and a
+greedy DSATUR colouring as its upper bound, then asks a DSATUR
+backtracking search for a k-colouring at each k in between.  Both
 DSATUR colourings run on the same bitsets: vertices relabelled by the
 tie-break (degree descending, then id), one forbidden-vertex mask per
 colour and bit-sliced saturation counters, so choosing the next vertex
@@ -193,33 +201,36 @@ def clique_number(
     best_size = 0
     best_set: list[int] = []
 
-    def color_bound(cand: int) -> list[tuple[int, int]]:
-        # Greedy colour classes over the candidate set; vertex v may join
-        # the first class containing none of its neighbours.  Returns
-        # (vertex, colour-count-so-far) in branching order.  The count
-        # bounds the clique among v and every vertex before it, and it is
-        # non-decreasing along the order, which is what lets ``expand``
-        # stop at the first vertex whose bound cannot beat the incumbent.
-        order: list[tuple[int, int]] = []
-        classes: list[int] = []
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            for i, cls in enumerate(classes):
-                if not (cls & bits[v]):
-                    classes[i] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-            order.append((v, len(classes)))
-        return order
-
     def expand(current: list[int], cand: int) -> None:
         nonlocal best_size, best_set
-        order = color_bound(cand)
-        for v, bound in reversed(order):
-            if len(current) + bound <= best_size:
+        # First-fit colouring of ``cand`` in id order, built one class at
+        # a time: class k is the greedy stable set, lowest id first, of
+        # the vertices no earlier class holds, so placing a vertex is one
+        # mask operation.  Only each class's lowest vertex is kept.
+        # ``first`` increases with k, and first-fit's class count once v
+        # is placed, the number of ``first[k] <= v``, bounds the clique
+        # among v and the candidates below it.
+        first: list[int] = []
+        uncolored = cand
+        while uncolored:
+            avail = uncolored
+            first.append((avail & -avail).bit_length() - 1)
+            while avail:
+                low = avail & -avail
+                uncolored ^= low
+                avail &= ~(bits[low.bit_length() - 1] | low)
+        # Branch from the highest candidate down.  The bound never grows
+        # along that walk, so the first vertex that cannot beat the
+        # incumbent ends this node: the test and the vertices it runs at
+        # are those of colouring vertex by vertex, so the search tree and
+        # the witness are too.  first[0] is the lowest candidate, so k
+        # stays at least 1.
+        k = len(first)
+        while cand:
+            v = cand.bit_length() - 1
+            while first[k - 1] > v:
+                k -= 1
+            if len(current) + k <= best_size:
                 return
             current.append(v)
             sub = cand & bits[v]
@@ -230,7 +241,7 @@ def clique_number(
             else:
                 expand(current, sub)
             current.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v
 
     try:
         expand([], (1 << n) - 1)

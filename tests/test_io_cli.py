@@ -70,6 +70,39 @@ def test_parse_errors_name_lines(tmp_path):
         assert str(err.value) == f"{f}:{line_no}: {message}"
 
 
+@pytest.mark.parametrize("name, text, line_no, message", [
+    ("header.edges", "2 x\n", 1, "header must be integers"),
+    ("edge.edges", "3 1\n# c\n0 1 2\n", 3, "edge line must be 'u v'"),
+    ("edge.col", "p edge 3 1\ne 1\n", 2, "edge line must be 'e u v'"),
+    ("empty.edges", "", 1, "missing 'n m' header"),
+    ("comment.edges", "# no header\n", 1, "missing 'n m' header"),
+    ("count.edges", "3 2\n0 1\n", 1, "header promises 2 edges, file has 1"),
+    ("short.col", "c x\np edge 3\n", 2, "problem line must be 'p edge N M'"),
+    ("kind.col", "p graph 3 1\n", 1, "problem line must be 'p edge N M'"),
+    ("int.col", "p edge 3 x\n", 1, "problem line must carry integers"),
+    ("none.col", "c only a comment\n", 1, "missing problem line"),
+])
+def test_parse_error_table(tmp_path, name, text, line_no, message):
+    f = tmp_path / name
+    f.write_text(text)
+    with pytest.raises(GraphParseError) as err:
+        read_graph(f)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{f}:{line_no}: {message}"
+
+
+def test_unknown_graph_format(tmp_path):
+    f = tmp_path / "g.edges"
+    f.write_text("2 1\n0 1\n")
+    with pytest.raises(ValueError) as err:
+        read_graph(f, "gml")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown format 'gml'"
+    with pytest.raises(ValueError) as err:
+        render_graph(Graph(2, [(0, 1)]), "gml")
+    assert str(err.value) == "unknown format 'gml'"
+
+
 def test_edgelist_rejects_repeated_edges(tmp_path):
     # "3 2 / 0 1 / 1 0" names one edge twice; it must not pass as the two
     # edges its header promises.
@@ -308,8 +341,8 @@ def test_cli_survey_refuses_params_that_are_not_an_object(tmp_path, capsys):
     ({"analysis": 1, "instances": []}, "analysis must be a JSON object, not 1"),
     ({"analysis": {"delta": "x"}, "instances": []},
      "analysis: bad value 'x' for field 'delta'"),
-    ({"analysis": {"beta": [2]}, "instances": []},
-     "analysis: bad value [2] for field 'beta'"),
+    ({"analysis": {"delta": None}, "instances": []},
+     "analysis: bad value None for field 'delta'"),
     ({"instances": {"family": "cycle"}},
      'instances must be a JSON array, not {"family": "cycle"}'),
     ({"instances": [{"family": "cycle", "params": {"n": 5}}, 3]},

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -69,6 +70,73 @@ def test_clique_number_matches_subset_oracle():
         adj = adjacency(g)
         assert all(v in adj[u] for u in witness for v in witness if u != v)
     assert clique_number(cases[0])[0] == 5
+
+
+def clique_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Maximum clique by plain colour-bounded branch and bound over
+    vertex sets: first-fit colour classes in id order bound each vertex
+    by the class count once it is placed, the highest id branches first,
+    a branch stops at the first vertex whose bound cannot beat the
+    incumbent, and only a strictly larger clique replaces it."""
+    adj = adjacency(g)
+    best: list[int] = []
+
+    def branch(current: list[int], cand: set[int]) -> None:
+        nonlocal best
+        classes: list[set[int]] = []
+        bound = {}
+        for v in sorted(cand):
+            for cls in classes:
+                if not cls & adj[v]:
+                    cls.add(v)
+                    break
+            else:
+                classes.append({v})
+            bound[v] = len(classes)
+        for v in sorted(cand, reverse=True):
+            if len(current) + bound[v] <= len(best):
+                return
+            current.append(v)
+            sub = cand & adj[v]
+            if sub:
+                branch(current, sub)
+            elif len(current) > len(best):
+                best = sorted(current)
+            current.pop()
+            cand = cand - {v}
+
+    if g.n:
+        branch([], set(range(g.n)))
+    return len(best), tuple(best)
+
+
+def test_clique_number_matches_set_reference():
+    # The bitset search is the set-based search above: the same size and
+    # the same witness on small graphs and on three dense ones, where the
+    # bound prunes most of the tree.
+    rng = random.Random(21)
+    cases = [erdos_renyi(10, 0.5, 4)]
+    cases += [random_graph(rng, rng.randint(1, 30), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(150)]
+    for g in cases:
+        assert clique_number(g) == clique_reference(g)
+    # The search tree itself, counted in calls of the inner ``expand``.
+    calls = [0]
+
+    def count_calls(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "expand":
+            calls[0] += 1
+
+    for n, seed, want in ((40, 1, 69), (45, 2, 63), (50, 3, 92)):
+        g = erdos_renyi(n, 0.5, seed)
+        calls[0] = 0
+        sys.setprofile(count_calls)
+        try:
+            got = clique_number(g)
+        finally:
+            sys.setprofile(None)
+        assert got == clique_reference(g)
+        assert calls[0] == want, (n, seed, calls[0])
 
 
 def dsatur_reference(g: Graph, k: int) -> tuple[int, ...] | None:
