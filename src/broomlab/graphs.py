@@ -188,17 +188,38 @@ SubsetView = NamedTuple("SubsetView", [("n", int), ("bits", tuple[int, ...])])
 
 
 def subset_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
-    """The subgraph induced by the members of ``mask``, as the solvers
-    read it, and the host id of each of its vertices.  Members are
-    renumbered 0..n-1 in increasing host id, as in :func:`induced`, and
-    ``bits`` holds their neighbours inside the set."""
+    """The subgraph induced by the members of ``mask``, numbered 0..n-1
+    in increasing host id as :func:`induced` numbers it, and the host id
+    of each of its vertices; ``bits`` holds their neighbours inside the
+    set.  The solvers read :func:`ranked_view` instead."""
     bits = g.bits
     ids = members(mask)
     pos = {1 << v: 1 << i for i, v in enumerate(ids)}  # host bit -> view bit
     return SubsetView(len(ids), tuple(remap(bits[v] & mask, pos) for v in ids)), ids
 
 
-def _bfs_levels(g: Graph, v: int, k: int) -> tuple[int, int]:
+def ranked_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
+    """The subgraph induced by the members of ``mask`` as the solvers
+    read it, and the host id of each of its vertices.  Members are
+    numbered 0..n-1 in DSATUR rank order (degree inside the set
+    descending, then host id), and ``bits`` holds their neighbours
+    inside the set, relabelled once.
+
+    A ranked view is already in rank order, so the ranked view of a
+    whole ranked view is that view, built without relabelling: the
+    solvers rank every graph they colour, and a vertex set a caller
+    ranked first is not relabelled again.
+    """
+    bits = g.bits
+    # sorted is stable, so equal degrees stay in increasing id order.
+    ids = sorted(members(mask), key=lambda v: -(bits[v] & mask).bit_count())
+    if mask == (1 << g.n) - 1 and ids == list(range(g.n)):
+        return SubsetView(g.n, tuple(bits)), ids
+    to_rank = {1 << v: 1 << r for r, v in enumerate(ids)}  # host bit -> view bit
+    return SubsetView(len(ids), tuple(remap(bits[v] & mask, to_rank) for v in ids)), ids
+
+
+def bfs_levels(g: Graph, v: int, k: int) -> tuple[int, int]:
     """Breadth-first search from v up to depth k, as masks: the last
     level reached (distance exactly k, or empty) and every vertex seen."""
     g.check_vertex(v)
@@ -215,12 +236,12 @@ def _bfs_levels(g: Graph, v: int, k: int) -> tuple[int, int]:
 
 def neighborhood_exact(g: Graph, v: int, k: int) -> frozenset[int]:
     """Vertices at distance exactly k from v; k=0 gives {v}."""
-    return frozenset(members(_bfs_levels(g, v, k)[0]))
+    return frozenset(members(bfs_levels(g, v, k)[0]))
 
 
 def neighborhood_closed(g: Graph, v: int, k: int) -> frozenset[int]:
     """Vertices at distance at most k from v."""
-    return frozenset(members(_bfs_levels(g, v, k)[1]))
+    return frozenset(members(bfs_levels(g, v, k)[1]))
 
 
 def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -15,17 +15,16 @@ tree and the witness are those of the vertex-at-a-time colouring.
 ``chromatic_number`` takes the clique number as its lower bound and a
 greedy DSATUR colouring as its upper bound, then asks a DSATUR
 backtracking search for a k-colouring at each k in between.  Both
-DSATUR colourings run on the same bitsets: vertices relabelled by the
-tie-break (degree descending, then id), one forbidden-vertex mask per
-colour and bit-sliced saturation counters, so choosing the next vertex
-costs O(log k) big-int operations.  The greedy colouring is the
-backtracking search's first descent with unbounded colours: the same
-pick, and the lowest colour free at the picked vertex.  It is an upper
-bound only and is never reported as the chromatic number unless the
-clique bound meets it.
-
-The searches read only a graph's ``n`` and ``bits``, so they also run
-on a :func:`~broomlab.graphs.subset_view` of a vertex set.
+DSATUR colourings read one :func:`~broomlab.graphs.ranked_view` of the
+graph, whose vertices are numbered by the tie-break (degree descending,
+then id), and run on its bitsets: one forbidden-vertex mask per colour
+and bit-sliced saturation counters, so choosing the next vertex costs
+O(log k) big-int operations.  A ranked view is its own ranked view, so
+the solvers take one built for a vertex set (degrees counted inside the
+set) as it is, and each member is relabelled once.  The greedy colouring is the backtracking search's first descent
+with unbounded colours: the same pick, and the lowest colour free at
+the picked vertex.  It is an upper bound only and is never reported as
+the chromatic number unless the clique bound meets it.
 
 A :func:`solving` block is the one exact-search context: it holds the
 size cap and a chi memo, so the stages of a pipeline run take neither
@@ -33,9 +32,9 @@ as an argument.  :func:`check_limit` is the one place the cap is
 resolved (an explicit ``limit``, else the innermost block's cap, else
 ``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
-by a vertex set: it refuses by size, then colours a subset view, whose
-ids keep their order and whose degrees are counted inside the set, as
-in ``induced``.  Inside a block it colours each vertex set once.
+by a vertex set: it refuses by size, then colours the set's ranked
+view, the one view ``chi_local`` also reads a ball's DSATUR palette
+from.  Inside a block it colours each vertex set once.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ from typing import Iterator
 
 from .graphs import (
     Graph,
+    SubsetView,
+    bfs_levels,
     check_vertex_set,
     mask_of,
     members,
-    neighborhood_closed,
-    remap,
-    subset_view,
+    ranked_view,
 )
 
 DEFAULT_SOLVER_LIMIT = 64
@@ -124,33 +123,18 @@ def check_limit(what: str, size: int, limit: int | None = None) -> None:
         raise InstanceTooLarge(what, size, cap)
 
 
-def _dsatur_ranks(g: Graph) -> tuple[list[int], list[int]]:
-    """DSATUR's tie-break as a relabelling: each vertex's rank (degree
-    descending, then id) and each rank's neighbour mask over ranks."""
-    bits = g.bits
-    # sorted is stable, so equal degrees stay in increasing id order.
-    rank = sorted(range(g.n), key=lambda u: -bits[u].bit_count())
-    where = [0] * g.n
-    to_rank = {}  # vertex bit -> rank bit
-    for r, v in enumerate(rank):
-        where[v] = r
-        to_rank[1 << v] = 1 << r
-    return where, [remap(bits[v], to_rank) for v in rank]
+def _by_id(color: list[int], ids: list[int]) -> tuple[int, ...]:
+    """Colours listed by rank, relisted by the id each rank stands for."""
+    out = [0] * len(ids)
+    for c, v in zip(color, ids):
+        out[v] = c
+    return tuple(out)
 
 
-def greedy_coloring(g: Graph) -> Coloring:
-    """DSATUR greedy colouring; an upper bound, never reported as chi.
-
-    The next vertex has the most distinct neighbour colours, ties toward
-    the highest static degree, then the lowest vertex id, so output is
-    reproducible; it takes the lowest colour none of its neighbours has.
-    Runs on the bitsets of ``_k_colorable``, of which it is the first
-    descent.
-    """
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    where, bits = _dsatur_ranks(g)
+def _dsatur_greedy(bits: tuple[int, ...]) -> tuple[list[int], int]:
+    """The greedy DSATUR colouring of a ranked view's ``bits``: each
+    rank's colour, and the number of colours used."""
+    n = len(bits)
     forbidden: list[int] = []
     # A saturation never exceeds n - 1, so n.bit_length() planes hold it.
     planes = [0] * n.bit_length()
@@ -182,7 +166,21 @@ def greedy_coloring(g: Graph) -> Coloring:
             carry &= x
             b += 1
         forbidden[c] |= nb
-    return Coloring(tuple(color[r] for r in where), len(forbidden))
+    return color, len(forbidden)
+
+
+def greedy_coloring(g: Graph) -> Coloring:
+    """DSATUR greedy colouring; an upper bound, never reported as chi.
+
+    The next vertex has the most distinct neighbour colours, ties toward
+    the highest static degree, then the lowest vertex id, so output is
+    reproducible; it takes the lowest colour none of its neighbours has.
+    Runs on the ranked view and bitsets of ``_k_colorable``, of which it
+    is the first descent.
+    """
+    view, ids = ranked_view(g, (1 << g.n) - 1)
+    color, palette = _dsatur_greedy(view.bits)
+    return Coloring(_by_id(color, ids), palette)
 
 
 def clique_number(
@@ -250,9 +248,7 @@ def clique_number(
     return best_size, tuple(best_set)
 
 
-def _k_colorable(
-    g: Graph, k: int, ranks: tuple[list[int], list[int]] | None = None
-) -> Coloring | None:
+def _k_colorable(g: Graph, k: int) -> Coloring | None:
     """Backtracking k-colourability with DSATUR branching, on bitsets.
 
     The next vertex is the uncoloured one with the most distinct
@@ -260,17 +256,19 @@ def _k_colorable(
     id.  Colours are tried in increasing order, and symmetry is broken by
     allowing at most one previously unused colour per decision.
 
-    Vertices are relabelled by that tie-break (degree descending, then
-    id), so the pick is the lowest-rank vertex of maximum saturation.
+    The search reads the ranked view of ``g`` (ids in that tie-break's
+    order: degree descending, then id), so the pick is the lowest-rank
+    vertex of maximum saturation.  A ranked view is its own ranked view,
+    so a caller that passes one has nothing relabelled here.
     ``forbidden[c]`` masks the vertices with a neighbour coloured c, and
     saturations are bit-sliced: bit r of ``planes[b]`` is bit b of rank
-    r's count, so a pick costs O(log k) big-int operations.  ``ranks``
-    is ``_dsatur_ranks(g)``, passed by a caller that already has it.
+    r's count, so a pick costs O(log k) big-int operations.
     """
     n = g.n
     if k == 0:
         return Coloring((), 0) if n == 0 else None
-    where, bits = ranks or _dsatur_ranks(g)
+    view, ids = ranked_view(g, (1 << n) - 1)
+    bits = view.bits
     forbidden = [0] * k
     color = [-1] * n  # by rank
 
@@ -315,8 +313,8 @@ def _k_colorable(
         # solve refers to itself through its closure; breaking the cycle
         # frees it now instead of at the next cycle collection.
         del solve
-    colors = [color[r] for r in where]
-    return Coloring(tuple(colors), max(colors) + 1 if colors else 0)
+    colors = _by_id(color, ids)
+    return Coloring(colors, max(colors) + 1 if colors else 0)
 
 
 def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:
@@ -332,18 +330,15 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
 def _chromatic_given_omega(g: Graph, omega: int) -> tuple[int, Coloring]:
     """``chromatic_number`` of a graph whose clique number ``omega`` is
     already known, so a caller that reports both searches for it once."""
-    upper_col = greedy_coloring(g)
-    upper = upper_col.palette_size
-    if omega == upper:
-        return upper, upper_col
-    ranks = _dsatur_ranks(g)  # one relabelling for every k
+    view, ids = ranked_view(g, (1 << g.n) - 1)  # one relabelling for every k
+    color, upper = _dsatur_greedy(view.bits)
     for k in range(omega, upper):
-        col = _k_colorable(g, k, ranks)
-        if col is not None:
+        found = _k_colorable(view, k)
+        if found is not None:
             # Witness palette must be exactly k even when the search used
             # fewer colours than allowed.
-            return k, Coloring(col.colors, k)
-    return upper, upper_col
+            return k, Coloring(_by_id(found.colors, ids), k)
+    return upper, Coloring(_by_id(color, ids), upper)
 
 
 def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
@@ -352,32 +347,29 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
     The null graph scores 0.  The solver limit applies to the largest
     ball, not to the graph itself.
 
-    Distinct balls are walked in vertex order.  A ball whose DSATUR
-    palette is no larger than the best chi so far is skipped, and the
-    walk stops once the best chi reaches the DSATUR palette of ``g``.
-    Both bounds are exact: a ball induces a subgraph of ``g``, so its
-    chi is at most the host's chi, hence at most the host's palette, and
-    at most the ball's own palette.  Only the remaining balls are
-    coloured exactly.
+    Distinct balls are walked in vertex order, each as one ranked view.
+    A ball whose DSATUR palette, read off that view, is no larger than
+    the best chi so far is skipped, and the walk stops once the best chi
+    reaches the DSATUR palette of ``g``.  Both bounds are exact: a ball
+    induces a subgraph of ``g``, so its chi is at most the host's chi,
+    hence at most the host's palette, and at most the ball's own
+    palette.  Only the remaining balls are coloured exactly, from the
+    same view.
     """
     if k < 1:
         raise ValueError("radius must be positive")
     if g.n == 0:
         return 0
-    balls = [neighborhood_closed(g, v, k) for v in range(g.n)]
-    biggest = max(len(b) for b in balls)
-    check_limit(f"chi_local(k={k})", biggest, limit)
+    balls = list(dict.fromkeys(bfs_levels(g, v, k)[1] for v in range(g.n)))
+    check_limit(f"chi_local(k={k})", max(b.bit_count() for b in balls), limit)
     cap = greedy_coloring(g).palette_size
     best = 0
-    seen: set[frozenset[int]] = set()
     for ball in balls:
         if best == cap:
             break
-        if ball in seen:
-            continue
-        seen.add(ball)
-        if greedy_coloring(subset_view(g, mask_of(ball))[0]).palette_size > best:
-            best = max(best, chi_of_set(g, ball, limit))
+        view, _ = ranked_view(g, ball)
+        if _dsatur_greedy(view.bits)[1] > best:
+            best = max(best, _chi_of_mask(g, ball, limit, view))
     return best
 
 
@@ -389,10 +381,20 @@ def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int
     ``ValueError``.
     """
     check_limit("chromatic_number", len(verts), limit)
-    key = (g, mask_of(check_vertex_set(g, verts)))
+    return _chi_of_mask(g, mask_of(check_vertex_set(g, verts)), limit)
+
+
+def _chi_of_mask(
+    g: Graph, mask: int, limit: int | None, view: SubsetView | None = None
+) -> int:
+    """``chi_of_set`` of the members of ``mask``, from the memo of the
+    ``solving`` block if any; ``view`` is their ranked view when the
+    caller has built it already."""
     context = _SOLVING.get(None)
     known = {} if context is None else context[1]
+    key = (g, mask)
     if key not in known:
-        view, _ = subset_view(*key)
+        if view is None:
+            view, _ = ranked_view(g, mask)
         known[key] = chromatic_number(view, limit=limit)[0]
     return known[key]

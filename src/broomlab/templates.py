@@ -37,7 +37,7 @@ from .graphs import (
     mask_of,
     members,
     neighbors_of,
-    subset_view,
+    ranked_view,
 )
 from .solvers import (
     Coloring,
@@ -511,7 +511,7 @@ def clean2(arr: TemplateArray) -> tuple[TemplateArray, dict]:
         filtered_h.append((t.hmask | ys[i]) & ~mask_of(cut))
     report["dropped_cross_core"] = dropped
 
-    view, ids = subset_view(g, _union(filtered_h))
+    view, ids = ranked_view(g, _union(filtered_h))
     split = greedy_coloring(view)
     w_classes = [0] * split.palette_size
     for v, color in zip(ids, split.colors):

@@ -1,11 +1,12 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from broomlab import solvers
 from broomlab.generators import complete_multipartite, cycle, erdos_renyi
-from broomlab.graphs import Graph, induced, mask_of, subset_view
+from broomlab.graphs import Graph, induced, mask_of, members, ranked_view, subset_view
 from broomlab.oracles import (
     adjacency,
     chromatic_number_oracle,
@@ -340,8 +341,8 @@ def test_chi_of_set_refuses_above_the_limit(monkeypatch):
     g = Graph(70, [(i, i + 1) for i in range(69)])
     assert chi_of_set(g, frozenset(range(64))) == 2
     assert chi_of_set(g, frozenset(range(5)), limit=5) == 2
-    # The refusal comes before the subset view is built.
-    monkeypatch.setattr("broomlab.solvers.subset_view", None)
+    # The refusal comes before the ranked view is built.
+    monkeypatch.setattr("broomlab.solvers.ranked_view", None)
     for verts, limit, cap in ((range(65), None, 64), (range(6), 5, 5)):
         with pytest.raises(InstanceTooLarge) as info:
             chi_of_set(g, frozenset(verts), limit=limit)
@@ -384,8 +385,9 @@ def test_chi_of_set_matches_induced_subgraph():
 
 
 def test_view_colouring_matches_induced_subgraph():
-    # clean2's stable split: greedy colouring of a subset view is the one
-    # of the induced subgraph, so ranks use the degrees inside the set.
+    # A subset view is numbered as ``induced`` numbers it, and its greedy
+    # colouring is the induced subgraph's: ranks use the degrees inside
+    # the set.
     rng = random.Random(43)
     differ = 0
     for _ in range(320):
@@ -399,6 +401,43 @@ def test_view_colouring_matches_induced_subgraph():
         host_rank = sorted(verts, key=lambda u: (-len(adj[u]), u))
         differ += host_rank != sorted(verts, key=lambda u: (-len(adj[u] & set(verts)), u))
     assert differ > 100  # host degrees would often rank differently
+
+
+def test_ranked_view_colours_as_the_set_reference():
+    # The one view the solvers read: a vertex set's members in DSATUR rank
+    # order (degree inside the set descending, then host id).  Its greedy
+    # colouring, listed back by host id, is the set-based reference's
+    # colouring of the induced subgraph, and a view is its own ranked view.
+    rng = random.Random(47)
+    in_order = Counter()
+    for trial in range(300):
+        g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.9))
+        kind = trial % 4
+        if kind == 0:
+            verts = []
+        elif kind == 1:
+            verts = [rng.randrange(g.n)]
+        elif kind == 2:  # a whole graph whose ids are already in rank order
+            view, _ = ranked_view(g, (1 << g.n) - 1)
+            g = Graph(g.n, [(r, s) for r, row in enumerate(view.bits) for s in members(row)
+                            if r < s])
+            verts = list(range(g.n))
+        else:
+            verts = [v for v in range(g.n) if rng.random() < 0.6]
+        view, ids = ranked_view(g, mask_of(verts))
+        sub, back = induced(g, verts)
+        adj = adjacency(sub)
+        pos = {v: i for i, v in enumerate(back)}
+        assert ids == sorted(back, key=lambda v: (-len(adj[pos[v]]), v))
+        assert [{pos[ids[r]] for r in members(row)} for row in view.bits] == [
+            adj[pos[v]] for v in ids]
+        color = dict(zip(ids, greedy_coloring(view).colors))
+        assert tuple(color[v] for v in back) == greedy_reference(sub)
+        assert ranked_view(view, (1 << view.n) - 1) == (view, list(range(view.n)))
+        assert chi_of_set(g, frozenset(verts)) == chromatic_number_oracle(sub)
+        in_order[kind, ids == list(back)] += 1
+    assert in_order[0, True] == in_order[1, True] == in_order[2, True] == 75
+    assert in_order[3, False] >= 30  # in-set degrees reorder half the random sets
 
 
 def _count_chromatic(monkeypatch) -> list[int]:
