@@ -20,7 +20,7 @@ _SUBMODULE = {
         )),
         ("solvers", (
             "Coloring", "InstanceTooLarge", "chi_local", "chromatic_number",
-            "clique_number", "validate_coloring",
+            "clique_number", "solving", "validate_coloring",
         )),
         ("structures", (
             "CoreWitness", "Params", "ThetaTable", "check_conditions",

@@ -34,7 +34,9 @@ from .generators import GenSpec, _field, _string, generate
 from .graph_io import read_graph, render_graph
 from .graphs import Graph
 from .pipeline import run_pipeline
-from .solvers import InstanceTooLarge, _chromatic_given_omega, chi_local, clique_number
+from .solvers import (
+    InstanceTooLarge, _chromatic_given_omega, chi_local, clique_number, solving,
+)
 from .structures import Params, ThetaTable, find_core
 from .suites import SUITES, run_suite
 from .trees import is_T_delta_free
@@ -181,8 +183,9 @@ def _json_object(value, name: str) -> dict:
 
 
 def _solver_limit(args) -> int | None:
-    """``--solver-limit``, refused when below 0 before any work starts."""
-    limit = args.solver_limit
+    """``--solver-limit`` (None for a command without it), refused when
+    below 0 before any work starts."""
+    limit = getattr(args, "solver_limit", None)
     if limit is not None and limit < 0:
         raise ValueError(f"--solver-limit must be at least 0, not {limit}")
     return limit
@@ -202,17 +205,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    limit = _solver_limit(args)
     g, p, head = _load(args)
-    omega, omega_witness = clique_number(g, limit=limit)
+    omega, omega_witness = clique_number(g)
     chi, _ = _chromatic_given_omega(g, omega)
-    chi1 = chi_local(g, 1, limit=limit) if g.n else 0
-    chi2 = chi_local(g, 2, limit=limit) if g.n else 0
-    t_free = is_T_delta_free(g, p.delta, limit=limit)
+    chi1 = chi_local(g, 1) if g.n else 0
+    chi2 = chi_local(g, 2) if g.n else 0
+    t_free = is_T_delta_free(g, p.delta)
     best_core = None
     a = 1
     while a * p.beta <= g.n:
-        found = find_core(g, a, p.beta, limit=limit)
+        found = find_core(g, a, p.beta)
         if found is None:
             break
         best_core = {"a": a, "b": p.beta, "parts": [sorted(x) for x in found.parts]}
@@ -235,10 +237,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    limit = _solver_limit(args)
     g, p, head = _load(args)
     started = time.perf_counter()
-    trace = run_pipeline(g, p, limit=limit)
+    trace = run_pipeline(g, p)
     elapsed = time.perf_counter() - started
     print(f"pipeline completed in {elapsed:.3f}s", file=sys.stderr)
     payload = {**head, "params": p.as_dict(), "trace": trace.to_json_dict()}
@@ -247,9 +248,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    limit = _solver_limit(args)
     g, p, head = _load(args)
-    trace = run_pipeline(g, p, limit=limit)
+    trace = run_pipeline(g, p)
     payload = {
         **head,
         "audit": trace.audit.to_json_dict(),
@@ -284,7 +284,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    limit = _solver_limit(args)
     manifest = _json_object(json.loads(Path(args.manifest).read_text()), "the manifest")
     analysis = _json_object(manifest.get("analysis", {}), "analysis")
     delta = _field("analysis", analysis, "delta", int, 1)
@@ -305,9 +304,9 @@ def cmd_survey(args) -> int:
         row_id = _field(where, inst, "id", _string, spec.key())
         try:
             g = generate(spec)
-            omega, _ = clique_number(g, limit=limit)
+            omega, _ = clique_number(g)
             chi, _ = _chromatic_given_omega(g, omega)
-            t_free = is_T_delta_free(g, delta, limit=limit)
+            t_free = is_T_delta_free(g, delta)
             writer.writerow([row_id, spec.family, g.n, omega, chi, t_free, ""])
         except InstanceTooLarge as exc:
             writer.writerow([row_id, spec.family, "", "", "", "", str(exc)])
@@ -374,7 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # One search context for the command: every exact search in it
+        # refuses above --solver-limit.
+        with solving(_solver_limit(args)):
+            return args.fn(args)
     except InstanceTooLarge as exc:
         _error({"type": "solver_refusal", "message": str(exc),
                 "size": exc.size, "limit": exc.limit})

@@ -187,17 +187,6 @@ def remap(mask: int, to: dict[int, int]) -> int:
 SubsetView = NamedTuple("SubsetView", [("n", int), ("bits", tuple[int, ...])])
 
 
-def subset_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
-    """The subgraph induced by the members of ``mask``, numbered 0..n-1
-    in increasing host id as :func:`induced` numbers it, and the host id
-    of each of its vertices; ``bits`` holds their neighbours inside the
-    set.  The solvers read :func:`ranked_view` instead."""
-    bits = g.bits
-    ids = members(mask)
-    pos = {1 << v: 1 << i for i, v in enumerate(ids)}  # host bit -> view bit
-    return SubsetView(len(ids), tuple(remap(bits[v] & mask, pos) for v in ids)), ids
-
-
 def ranked_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
     """The subgraph induced by the members of ``mask`` as the solvers
     read it, and the host id of each of its vertices.  Members are
@@ -250,9 +239,12 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     The map is a tuple ``old_ids`` where new vertex i corresponds to host
     vertex ``old_ids[i]``; ids stay in increasing order.
     """
-    view, ids = subset_view(g, mask_of(check_vertex_set(g, s)))
-    edges = [(i, j) for i, row in enumerate(view.bits) for j in members(row) if i < j]
-    return Graph(view.n, edges), tuple(ids)
+    mask = mask_of(check_vertex_set(g, s))
+    ids = members(mask)
+    pos = {1 << v: 1 << i for i, v in enumerate(ids)}  # host bit -> new bit
+    rows = [remap(g.bits[v] & mask, pos) for v in ids]
+    edges = [(i, j) for i, row in enumerate(rows) for j in members(row) if i < j]
+    return Graph(len(ids), edges), tuple(ids)
 
 
 def is_stable(g: Graph, s: Iterable[int]) -> bool:

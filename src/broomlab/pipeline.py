@@ -73,7 +73,7 @@ def _check_stage(name: str, arr: TemplateArray) -> None:
         raise StageError(name, problems)
 
 
-def run_pipeline(g: Graph, p: Params, limit: int | None = None) -> PipelineTrace:
+def run_pipeline(g: Graph, p: Params) -> PipelineTrace:
     stages: list[tuple[str, TemplateArray, dict]] = []
 
     def stage(name: str, arr: TemplateArray, report: dict) -> TemplateArray:
@@ -81,9 +81,9 @@ def run_pipeline(g: Graph, p: Params, limit: int | None = None) -> PipelineTrace
         stages.append((name, arr, report))
         return arr
 
-    # One search context per run carries the cap to every stage, and the
-    # vertex sets that stages colour more than once are coloured once.
-    with solving(limit):
+    # One search context per run keeps the enclosing cap, and the vertex
+    # sets that stages colour more than once are coloured once per run.
+    with solving():
         arr, leftover = extract_template_array(g, p)
         arr = stage("extract", arr, {"leftover": sorted(leftover)})
         arr = stage("clean1", *clean1(arr))

@@ -26,11 +26,12 @@ with unbounded colours: the same pick, and the lowest colour free at
 the picked vertex.  It is an upper bound only and is never reported as
 the chromatic number unless the clique bound meets it.
 
-A :func:`solving` block is the one exact-search context: it holds the
-size cap and a chi memo, so the stages of a pipeline run take neither
-as an argument.  :func:`check_limit` is the one place the cap is
-resolved (an explicit ``limit``, else the innermost block's cap, else
-``DEFAULT_SOLVER_LIMIT``): every exact search refuses through it.
+A :func:`solving` block is the one exact-search context and the one
+way to set the size cap: it holds the cap and a chi memo, so no search
+takes either as an argument (``with solving(100): chromatic_number(g)``).
+:func:`check_limit` is the one place the cap is read (the innermost
+block's, else ``DEFAULT_SOLVER_LIMIT``): every exact search refuses
+through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
 by a vertex set: it refuses by size, then colours the set's ranked
 view, the one view ``chi_local`` also reads a ball's DSATUR palette
@@ -60,11 +61,11 @@ DEFAULT_SOLVER_LIMIT = 64
 class InstanceTooLarge(Exception):
     """Raised when an instance exceeds the exact-solver size limit."""
 
-    def __init__(self, what: str, size: int, limit: int):
+    def __init__(self, what: str, size: int, cap: int):
         self.what = what
         self.size = size
-        self.limit = limit
-        super().__init__(f"{what}: size {size} exceeds solver limit {limit}")
+        self.limit = cap
+        super().__init__(f"{what}: size {size} exceeds solver limit {cap}")
 
 
 @dataclass(frozen=True)
@@ -93,32 +94,30 @@ def validate_coloring(g: Graph, c: Coloring) -> bool:
 _SOLVING: ContextVar[tuple[int, dict[tuple[Graph, int], int]]] = ContextVar("solving")
 
 
-def _cap(limit: int | None) -> int:
-    """``limit``, else the innermost ``solving`` block's cap, else
-    ``DEFAULT_SOLVER_LIMIT``."""
-    if limit is not None:
-        return limit
+def _cap() -> int:
+    """The innermost ``solving`` block's cap, else ``DEFAULT_SOLVER_LIMIT``."""
     context = _SOLVING.get(None)
     return DEFAULT_SOLVER_LIMIT if context is None else context[0]
 
 
 @contextmanager
 def solving(limit: int | None = None) -> Iterator[None]:
-    """One exact-search context.  Inside the block, every search refuses
-    above ``limit`` (with None, the enclosing cap) unless it is given
-    its own, and ``chi_of_set`` colours each vertex set of a graph once;
-    the memo is fresh per block and dropped when the block exits."""
-    token = _SOLVING.set((_cap(limit), {}))
+    """One exact-search context, the only way to set the size cap.
+    Inside the block, every search refuses above ``limit`` (with None,
+    the enclosing cap), and ``chi_of_set`` colours each vertex set of a
+    graph once; the memo is fresh per block and dropped when the block
+    exits."""
+    token = _SOLVING.set((_cap() if limit is None else limit, {}))
     try:
         yield
     finally:
         _SOLVING.reset(token)
 
 
-def check_limit(what: str, size: int, limit: int | None = None) -> None:
-    """Refuse ``what`` on an instance of ``size`` above the cap: ``limit``,
-    or the ``solving`` context's when it is None."""
-    cap = _cap(limit)
+def check_limit(what: str, size: int) -> None:
+    """Refuse ``what`` on an instance of ``size`` above the cap of the
+    innermost ``solving`` block, else ``DEFAULT_SOLVER_LIMIT``."""
+    cap = _cap()
     if size > cap:
         raise InstanceTooLarge(what, size, cap)
 
@@ -183,15 +182,13 @@ def greedy_coloring(g: Graph) -> Coloring:
     return Coloring(_by_id(color, ids), palette)
 
 
-def clique_number(
-    g: Graph, limit: int | None = None
-) -> tuple[int, tuple[int, ...]]:
+def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with a witness clique.
 
     Branch and bound over candidate bitsets with a greedy-colouring
     bound; the search order is fixed, so the witness is deterministic.
     """
-    check_limit("clique_number", g.n, limit)
+    check_limit("clique_number", g.n)
     n = g.n
     if n == 0:
         return 0, ()
@@ -317,14 +314,14 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     return Coloring(colors, max(colors) + 1 if colors else 0)
 
 
-def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:
+def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness colouring of that size."""
-    check_limit("chromatic_number", g.n, limit)
+    check_limit("chromatic_number", g.n)
     if g.n == 0:
         return 0, Coloring((), 0)
     if not any(g.bits):
         return 1, Coloring((0,) * g.n, 1)
-    return _chromatic_given_omega(g, clique_number(g, limit=limit)[0])
+    return _chromatic_given_omega(g, clique_number(g)[0])
 
 
 def _chromatic_given_omega(g: Graph, omega: int) -> tuple[int, Coloring]:
@@ -341,10 +338,10 @@ def _chromatic_given_omega(g: Graph, omega: int) -> tuple[int, Coloring]:
     return upper, Coloring(_by_id(color, ids), upper)
 
 
-def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
+def chi_local(g: Graph, k: int) -> int:
     """Maximum chromatic number over all closed distance-k balls.
 
-    The null graph scores 0.  The solver limit applies to the largest
+    The null graph scores 0.  The solver cap applies to the largest
     ball, not to the graph itself.
 
     Distinct balls are walked in vertex order, each as one ranked view.
@@ -361,7 +358,7 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
     if g.n == 0:
         return 0
     balls = list(dict.fromkeys(bfs_levels(g, v, k)[1] for v in range(g.n)))
-    check_limit(f"chi_local(k={k})", max(b.bit_count() for b in balls), limit)
+    check_limit(f"chi_local(k={k})", max(b.bit_count() for b in balls))
     cap = greedy_coloring(g).palette_size
     best = 0
     for ball in balls:
@@ -369,24 +366,23 @@ def chi_local(g: Graph, k: int, limit: int | None = None) -> int:
             break
         view, _ = ranked_view(g, ball)
         if _dsatur_greedy(view.bits)[1] > best:
-            best = max(best, _chi_of_mask(g, ball, limit, view))
+            best = max(best, _chi_of_mask(g, ball, view))
     return best
 
 
-def chi_of_set(g: Graph, verts: frozenset[int], limit: int | None = None) -> int:
+def chi_of_set(g: Graph, verts: frozenset[int]) -> int:
     """Exact chromatic number of the subgraph induced by ``verts``.
 
-    A set above the solver limit is refused as ``chromatic_number``
-    would refuse it, before any work; a vertex outside the graph raises
-    ``ValueError``.
+    A set above the solver cap is refused as ``chromatic_number`` would
+    refuse it, before any work; a vertex outside the graph raises
+    ``ValueError``.  Inside a ``solving`` block each set is coloured
+    once.
     """
-    check_limit("chromatic_number", len(verts), limit)
-    return _chi_of_mask(g, mask_of(check_vertex_set(g, verts)), limit)
+    check_limit("chromatic_number", len(verts))
+    return _chi_of_mask(g, mask_of(check_vertex_set(g, verts)))
 
 
-def _chi_of_mask(
-    g: Graph, mask: int, limit: int | None, view: SubsetView | None = None
-) -> int:
+def _chi_of_mask(g: Graph, mask: int, view: SubsetView | None = None) -> int:
     """``chi_of_set`` of the members of ``mask``, from the memo of the
     ``solving`` block if any; ``view`` is their ranked view when the
     caller has built it already."""
@@ -396,5 +392,5 @@ def _chi_of_mask(
     if key not in known:
         if view is None:
             view, _ = ranked_view(g, mask)
-        known[key] = chromatic_number(view, limit=limit)[0]
+        known[key] = chromatic_number(view)[0]
     return known[key]

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, check_vertex_set, lowest, mask_of, members
 from .solvers import (
+    InstanceTooLarge,
     check_limit,
     chi_local,
     chi_of_set,
@@ -148,14 +149,15 @@ class Params:
 
 
 def find_core(
-    g: Graph, a: int, b: int, limit: int | None = None, within: int | None = None
+    g: Graph, a: int, b: int, *, within: int | None = None
 ) -> CoreWitness | None:
     """Search for an (a,b)-core inside ``within``, an int mask of vertex
     ids (all of ``g`` when None), lexicographically least parts first.
 
-    The search and its refusal see only that set: the result is the core
-    that ``find_core(induced(g, members(within))[0], a, b, limit)``
-    finds, in host ids.
+    The search and its refusal see only that set: under the same
+    ``solving`` cap, the result is the core that
+    ``find_core(induced(g, members(within))[0], a, b)`` finds, in host
+    ids.
 
     Parts are built in increasing order of their minimum vertex, and
     inside a part vertices are tried in increasing id.  Candidate sets
@@ -176,7 +178,7 @@ def find_core(
     if pool >> g.n:  # also catches a negative mask
         raise ValueError(f"vertex mask outside 0..{g.n - 1}")
     size = pool.bit_count()
-    check_limit("find_core", size, limit)
+    check_limit("find_core", size)
     if a * b > size:
         return None
 
@@ -319,7 +321,8 @@ def max_matching_covered_chi(
     ``exhaustive_limit`` vertices raises ``InstanceTooLarge``.
     """
     n = g.n
-    check_limit("max_matching_covered_chi", n, exhaustive_limit)
+    if n > exhaustive_limit:
+        raise InstanceTooLarge("max_matching_covered_chi", n, exhaustive_limit)
     checked = 0
     violation: list[tuple[frozenset[int], int]] = []
 

@@ -135,9 +135,7 @@ def build_T(delta: int) -> PatternTree:
     return build_multibroom(specs)
 
 
-def contains_induced(
-    host: Graph, pattern: PatternTree, limit: int | None = None
-) -> Embedding | None:
+def contains_induced(host: Graph, pattern: PatternTree) -> Embedding | None:
     """Find an induced embedding of a tree pattern, or None.
 
     Pattern vertices are placed in BFS order from the handle, so each new
@@ -165,7 +163,7 @@ def contains_induced(
     the order of the search is unchanged, and so is the first embedding
     it finds.
     """
-    check_limit("contains_induced", host.n, limit)
+    check_limit("contains_induced", host.n)
     pn = pattern.tree.n
     if pn > host.n:
         return None
@@ -253,12 +251,12 @@ def contains_induced(
     return Embedding(tuple(sorted(zip(order, mapping))))
 
 
-def is_T_delta_free(host: Graph, delta: int, limit: int | None = None) -> bool:
+def is_T_delta_free(host: Graph, delta: int) -> bool:
     """True when the host has no induced copy of the delta target tree."""
     pattern = build_T(delta)
     if pattern.tree.n > host.n:
         return True
-    return contains_induced(host, pattern, limit=limit) is None
+    return contains_induced(host, pattern) is None
 
 
 def find_rooted_broom(
@@ -267,14 +265,13 @@ def find_rooted_broom(
     k: int,
     leaves: int,
     allowed: frozenset[int],
-    limit: int | None = None,
 ) -> Embedding | None:
     """Induced (k, leaves)-broom with a fixed handle.
 
     All non-handle vertices come from ``allowed``; vertices outside it
     may touch the broom.  Lowest-id choices first.
     """
-    check_limit("find_rooted_broom", host.n, limit)
+    check_limit("find_rooted_broom", host.n)
     host.check_vertex(handle)
     allowed = check_vertex_set(host, allowed)
     pattern = build_broom(k, leaves)

@@ -13,7 +13,7 @@ from broomlab.graphs import (
     neighborhood_closed,
     neighborhood_exact,
 )
-from broomlab.oracles import distances_oracle
+from broomlab.oracles import adjacency, distances_oracle
 
 from conftest import random_graph
 
@@ -138,6 +138,23 @@ def test_ball_recurrence(g, k):
         dist = distances_oracle(g, v)
         component = {u for u in range(g.n) if dist[u] <= g.n}
         assert neighborhood_closed(g, v, g.n) == component
+
+
+def test_induced_matches_the_adjacency_sets():
+    # New vertex i is the i-th member in increasing host id, whatever
+    # order the set comes in, and two new vertices are adjacent exactly
+    # when their host vertices are.
+    rng = random.Random(43)
+    for _ in range(320):
+        g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.7))
+        verts = [v for v in range(g.n) if rng.random() < 0.5]
+        sub, back = induced(g, rng.sample(verts, len(verts)))
+        assert back == tuple(verts)
+        adj = adjacency(g)
+        assert sub.n == len(verts) and sub.sorted_edges() == [
+            (i, j) for i, u in enumerate(verts) for j, v in enumerate(verts)
+            if i < j and v in adj[u]
+        ]
 
 
 @settings(max_examples=40, derandomize=True)

@@ -264,9 +264,9 @@ def test_cli_searches_omega_once(tmp_path, monkeypatch):
     seen = []
     original = solvers.clique_number
 
-    def counted(g, limit=None):
+    def counted(g):
         seen.append(g)
-        return original(g, limit=limit)
+        return original(g)
 
     monkeypatch.setattr(solvers, "clique_number", counted)
     monkeypatch.setattr(cli, "clique_number", counted)
@@ -420,6 +420,48 @@ def test_cli_refuses_a_negative_solver_limit(tmp_path, command, capsys):
     assert error_of(capsys) == {
         "type": "ValueError", "message": "--solver-limit must be at least 0, not -1"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, search", [
+    ("analyze", "clique_number"), ("pipeline", "find_core"), ("audit", "find_core"),
+])
+def test_cli_refuses_above_a_positive_solver_limit(tmp_path, command, search, capsys):
+    # The Petersen graph has 10 vertices.  A cap of 9 refuses the first
+    # search over all of them (analyze's clique search, extract's core
+    # search); a cap of 10 refuses nothing and writes the default's bytes.
+    graph_file = tmp_path / "pet.edges"
+    graph_file.write_text(render_graph(petersen()))
+    out = tmp_path / "out.json"
+    argv = (command, "--graph", str(graph_file), "--out", str(out))
+    assert run_cli(*argv, "--solver-limit", "9") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "type": "solver_refusal", "message": f"{search}: size 10 exceeds solver limit 9",
+        "size": 10, "limit": 9}}
+    assert not out.exists()
+    assert run_cli(*argv) == 0
+    default = out.read_bytes()
+    out.unlink()
+    assert run_cli(*argv, "--solver-limit", "10") == 0
+    assert out.read_bytes() == default
+
+
+def test_cli_survey_row_carries_a_positive_solver_limit_refusal(tmp_path):
+    manifest = {"instances": [
+        {"id": "pet", "family": "fixture", "params": {"id": "petersen"}},
+        {"id": "c7", "family": "cycle", "params": {"n": 7}},
+    ]}
+    mfile = tmp_path / "manifest.json"
+    mfile.write_text(json.dumps(manifest))
+    out = tmp_path / "rows.csv"
+    assert run_cli("survey", "--manifest", str(mfile), "--solver-limit", "8",
+                   "--out", str(out)) == 0
+    assert out.read_text().splitlines() == [
+        "id,family,n,omega,chi,t_free,error",
+        "pet,fixture,,,,,clique_number: size 10 exceeds solver limit 8",
+        "c7,cycle,7,2,3,False,",
+    ]
 
 
 def test_cli_unreadable_and_unwritable_paths_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 is first used."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -39,7 +40,7 @@ def test_constants_does_not_load_structures():
 
 
 def test_public_names_are_the_submodules_objects():
-    assert len(broomlab.__all__) == 69
+    assert len(broomlab.__all__) == 70
     for name in broomlab.__all__:
         module = importlib.import_module(f"broomlab.{broomlab._SUBMODULE[name]}")
         assert getattr(broomlab, name) is getattr(module, name), name
@@ -47,6 +48,16 @@ def test_public_names_are_the_submodules_objects():
     namespace: dict = {}
     exec("from broomlab import *", namespace)
     assert {k for k in namespace if k != "__builtins__"} == set(broomlab.__all__)
+
+
+def test_only_solving_takes_a_solver_limit():
+    # A ``solving`` block is the one way to set the exact-search cap.
+    takes = [
+        name for name in broomlab.__all__
+        if callable(obj := getattr(broomlab, name))
+        and "limit" in inspect.signature(obj).parameters
+    ]
+    assert takes == ["solving"]
 
 
 def test_unknown_name_raises_attribute_error():

@@ -21,7 +21,7 @@ from broomlab.shadows import (
     validate_shadowing,
     verify_private_cover,
 )
-from broomlab.solvers import chromatic_number
+from broomlab.solvers import chromatic_number, solving
 from broomlab.structures import Params
 from broomlab.templates import (
     extract_template_array,
@@ -254,6 +254,31 @@ def test_privatize_pendant_quota():
     assert report["quota"] == 2
     assert validate_template_array(out) == []
     assert out.y_mask == arr.y_mask
+
+
+def test_privatize_reports_a_refused_chi_as_none():
+    # At cap 0 every non-empty set is refused: the chi of U and of the
+    # peeled set read None, and so does the inequality that needs them.
+    # U minus pi is empty here, so its chi is still 0.  The array, the
+    # privatization and the rest of the report are those at the default.
+    p = Params(delta=1, tau=2, alpha=1, beta=2, zeta=2, eta=1)
+    g, _ = pendant_quota_fixture(quota=2)
+    arr, _ = extract_template_array(g, p)
+    from broomlab.templates import clean1, clean2
+
+    arr, _ = clean1(arr)
+    arr, _ = clean2(arr)
+    out, priv, report = privatize(arr)
+    with solving(0):
+        refused_out, refused_priv, refused = privatize(arr)
+    assert (refused_out, refused_priv) == (out, priv)
+    assert refused["chi_u_before"] is None and refused["chi_peeled"] is None
+    assert refused["unconditional_inequality_holds"] is None
+    assert refused["chi_u_after_minus_pi"] == 0
+    assert report["chi_u_before"] is not None and report["chi_peeled"] is not None
+    changed = {"chi_u_before", "chi_peeled", "unconditional_inequality_holds"}
+    assert {k: v for k, v in refused.items() if k not in changed} == {
+        k: v for k, v in report.items() if k not in changed}
 
 
 def test_privatize_quota_zero():

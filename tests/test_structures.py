@@ -5,7 +5,7 @@ import pytest
 from broomlab.generators import erdos_renyi, plant_core
 from broomlab.graphs import Graph, induced, mask_of, members
 from broomlab.oracles import adjacency, find_core_oracle
-from broomlab.solvers import InstanceTooLarge
+from broomlab.solvers import InstanceTooLarge, solving
 from broomlab.structures import (
     CoreWitness,
     Params,
@@ -93,10 +93,11 @@ def test_find_core_beyond_64_vertices():
     g = Graph(n, [(u, v) for u in parts[0] for v in parts[1]] + [(2, 68)])
     with pytest.raises(InstanceTooLarge):
         find_core(g, 3, 2)
-    core = find_core(g, 3, 2, limit=n)
+    with solving(n):
+        core = find_core(g, 3, 2)
+        assert find_core(g, 3, 3) is None
     assert core.parts == tuple(frozenset(p) for p in parts)
     assert verify_core(g, core, 3, 2)
-    assert find_core(g, 3, 3, limit=n) is None
 
 
 def test_find_core_oracle_200():
@@ -232,10 +233,10 @@ def test_find_core_within_a_set_matches_induced():
     g = erdos_renyi(20, 0.5, 3)
     for limit in (4, 9):
         verts = rng.sample(range(20), limit + 1)
-        with pytest.raises(InstanceTooLarge) as mine:
-            find_core(g, 2, 2, limit=limit, within=mask_of(verts))
-        with pytest.raises(InstanceTooLarge) as ref:
-            find_core(induced(g, verts)[0], 2, 2, limit=limit)
+        with pytest.raises(InstanceTooLarge) as mine, solving(limit):
+            find_core(g, 2, 2, within=mask_of(verts))
+        with pytest.raises(InstanceTooLarge) as ref, solving(limit):
+            find_core(induced(g, verts)[0], 2, 2)
         assert str(mine.value) == str(ref.value) == (
             f"find_core: size {limit + 1} exceeds solver limit {limit}")
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from broomlab.graphs import Graph, induced
 from broomlab.oracles import adjacency, contains_induced_oracle
-from broomlab.solvers import InstanceTooLarge
+from broomlab.solvers import InstanceTooLarge, solving
 from broomlab.trees import (
     PatternTree,
     assemble_T_delta,
@@ -83,7 +83,8 @@ def test_containment_size_refusal():
     big = Graph(80, [(i, i + 1) for i in range(79)])
     with pytest.raises(InstanceTooLarge):
         contains_induced(big, build_T(1))
-    assert contains_induced(big, build_T(1), limit=80) is not None
+    with solving(80):
+        assert contains_induced(big, build_T(1)) is not None
 
 
 def test_oracle_equivalence_sample():
