@@ -2,8 +2,10 @@
 
 Randomness comes from ``random.Random`` (Mersenne Twister) seeded
 explicitly, so the same spec and seed always yield a byte-identical
-graph.  The fixture family encodes the hand-built template, daisy, and
-strong-triple scenarios used throughout the test suite, versioned by id.
+graph.  Each family refuses a vertex count above 4096 after its own
+argument checks, before it draws or lists anything.  The fixture family
+encodes the hand-built template, daisy, and strong-triple scenarios used
+throughout the test suite, versioned by id.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .graphs import MAX_VERTICES, Graph, members
+from .graphs import Graph, check_vertex_count, members
 from .structures import CoreWitness
 
 
@@ -31,12 +33,14 @@ class GenSpec:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
+    check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -44,6 +48,7 @@ def complete_multipartite(sizes: list[int]) -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
+    check_vertex_count(n)
     bounds = []
     start = 0
     for s in sizes:
@@ -64,10 +69,7 @@ def kneser(n: int, k: int) -> Graph:
     edges join disjoint subsets.  kneser(5, 2) is the Petersen graph."""
     if k < 1 or n < 2 * k:
         raise ValueError("kneser needs n >= 2k and k >= 1")
-    # Refuse as Graph would, before building the subsets.
-    count = comb(n, k)
-    if count > MAX_VERTICES:
-        raise ValueError(f"vertex count {count} outside 0..{MAX_VERTICES}")
+    check_vertex_count(comb(n, k))
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     edges = []
@@ -90,6 +92,7 @@ def petersen() -> Graph:
 def mycielski(g: Graph) -> Graph:
     """One Mycielski step: preserves triangle-freeness, bumps chi by one."""
     n = g.n
+    check_vertex_count(2 * n + 1)
     edges = list(g.edges())
     for u in range(n):
         for v in members(g.bits[u]):
@@ -115,6 +118,7 @@ def groetzsch() -> Graph:
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if n < 0 or not (0.0 <= p <= 1.0):
         raise ValueError("need n >= 0 and probability in [0, 1]")
+    check_vertex_count(n)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -138,6 +142,7 @@ def plant_core(
         raise ValueError("need a, b >= 1 and a*b <= n")
     if not (0.0 <= noise_p <= 1.0):
         raise ValueError("noise probability outside [0, 1]")
+    check_vertex_count(n)
     rng = random.Random(seed)
     positions = sorted(rng.sample(range(n), a * b))
     parts = [

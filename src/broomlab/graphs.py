@@ -12,6 +12,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 MAX_VERTICES = 4096
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 0..MAX_VERTICES, the graphs this
+    package builds."""
+    if not (0 <= n <= MAX_VERTICES):
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 class Graph:
     """Undirected simple graph over ids 0..n-1, no self-loops.
 
@@ -22,8 +29,7 @@ class Graph:
     __slots__ = ("n", "bits", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not (0 <= n <= MAX_VERTICES):
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -72,8 +78,7 @@ class Digraph:
     __slots__ = ("n", "out", "_hash")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if not (0 <= n <= MAX_VERTICES):
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         out = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):

@@ -25,11 +25,12 @@ from .graphs import (
     members,
     neighbors_of,
 )
-from .solvers import InstanceTooLarge, chi_of_set
+from .solvers import _chi_or_none
 from .structures import is_matching_covered
 from .templates import (
     Template,
     TemplateArray,
+    _contacts,
     _longest_path,
     is_2_cleaned,
 )
@@ -83,14 +84,11 @@ def shadowing_degree(
 ) -> tuple[int, int | None]:
     """Maximum number of blocks (restricted to x) any array vertex
     touches, with the lowest vertex attaining it."""
-    g = arr.graph
-    xs = arr.umask if x is None else mask_of(check_vertex_set(g, x))
-    near = [neighbors_of(g, mask_of(b) & xs) for b in s.blocks]
+    xs = arr.umask if x is None else mask_of(check_vertex_set(arr.graph, x))
     best, argmax = 0, None
-    for v in members(arr.h_mask | arr.umask):
-        count = sum(m >> v & 1 for m in near)
-        if count > best:
-            best, argmax = count, v
+    for v, idx in _contacts(arr, [mask_of(b) & xs for b in s.blocks]):
+        if len(idx) > best:
+            best, argmax = len(idx), v
     return best, argmax
 
 
@@ -390,24 +388,24 @@ def privatize(arr: TemplateArray) -> tuple[TemplateArray, Privatization, dict]:
         )
     quota = p.delta * p.tau
     pc = private_cover(g, frozenset(members(z)), frozenset(members(b)), quota)
-    kept = mask_of(pc.a_prime)
-    pi = frozenset(v for v in pc.b_prime if bits[v] & kept)
-    pairs = tuple((v, lowest(bits[v] & kept)) for v in sorted(pi))
+    kept, peeled = mask_of(pc.a_prime), mask_of(pc.b_prime)
+    pi = [v for v in members(peeled) if bits[v] & kept]
+    pairs = tuple((v, lowest(bits[v] & kept)) for v in pi)
     new_templates = tuple(
         Template(core=t.core, h=frozenset(members((t.hmask & kept) | t.core.mask)))
         for t in arr.templates
     )
-    new_u = (arr.u - pc.b_prime) | pi
-    out = replace(arr, templates=new_templates, u=new_u)
+    rest = arr.umask & ~peeled  # the new U is rest and pi
+    out = replace(arr, templates=new_templates, u=frozenset(members(rest) + pi))
     priv = Privatization(
-        pi=pi,
+        pi=frozenset(pi),
         private_neighbor=pairs,
         cover_decomposition=pc.decomposition,
         b_source=pc.b_prime,
     )
-    chi_u_before = _chi_or_none(g, arr.u)
-    chi_rest = _chi_or_none(g, out.u - pi)
-    chi_peeled = _chi_or_none(g, pc.b_prime)
+    chi_u_before = _chi_or_none(g, arr.umask)
+    chi_rest = _chi_or_none(g, rest)
+    chi_peeled = _chi_or_none(g, peeled)
     report = {
         "pass": "privatize",
         "quota": quota,
@@ -424,14 +422,6 @@ def privatize(arr: TemplateArray) -> tuple[TemplateArray, Privatization, dict]:
         ),
     }
     return out, priv, report
-
-
-def _chi_or_none(g: Graph, verts: frozenset[int]) -> int | None:
-    """Exact chi of ``verts``, or None when the solver refuses the set."""
-    try:
-        return chi_of_set(g, verts)
-    except InstanceTooLarge:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +523,7 @@ def strong_triple_audit(
         triples_by_base={i: tuple(ts) for i, ts in triples.items()},
         packing_by_base=packing,
         r_bound=r_bound,
-        chi_unprivatized=_chi_or_none(g, arr.u - priv.pi),
+        chi_unprivatized=_chi_or_none(g, arr.umask & ~pi),
         chi_bound=shadow_chi_bound_of(p),
         orientation_palette=palette,
         orientation_proper=proper,

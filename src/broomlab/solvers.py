@@ -33,9 +33,10 @@ takes either as an argument (``with solving(100): chromatic_number(g)``).
 block's, else ``DEFAULT_SOLVER_LIMIT``): every exact search refuses
 through it.
 :func:`chi_of_set` is the exact chromatic number of the subgraph induced
-by a vertex set: it refuses by size, then colours the set's ranked
-view, the one view ``chi_local`` also reads a ball's DSATUR palette
-from.  Inside a block it colours each vertex set once.
+by a vertex set, given as a vertex mask: it refuses by size, then
+colours the set's ranked view, the one view ``chi_local`` also reads a
+ball's DSATUR palette from.  Inside a block it colours each vertex set
+once.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .graphs import (
     Graph,
     SubsetView,
     bfs_levels,
-    check_vertex_set,
-    mask_of,
     members,
     ranked_view,
 )
@@ -366,26 +365,23 @@ def chi_local(g: Graph, k: int) -> int:
             break
         view, _ = ranked_view(g, ball)
         if _dsatur_greedy(view.bits)[1] > best:
-            best = max(best, _chi_of_mask(g, ball, view))
+            best = max(best, chi_of_set(g, ball, view))
     return best
 
 
-def chi_of_set(g: Graph, verts: frozenset[int]) -> int:
-    """Exact chromatic number of the subgraph induced by ``verts``.
+def chi_of_set(g: Graph, mask: int, view: SubsetView | None = None) -> int:
+    """Exact chromatic number of the subgraph induced by the members of
+    ``mask``, a vertex mask over ``g``.
 
-    A set above the solver cap is refused as ``chromatic_number`` would
-    refuse it, before any work; a vertex outside the graph raises
-    ``ValueError``.  Inside a ``solving`` block each set is coloured
-    once.
+    A bit at n or above (or a negative mask) raises ``ValueError``, and a
+    set above the solver cap is refused as ``chromatic_number`` would
+    refuse it, before any work.  Inside a ``solving`` block each set is
+    coloured once.  ``view`` is the set's ranked view when the caller has
+    built it already.
     """
-    check_limit("chromatic_number", len(verts))
-    return _chi_of_mask(g, mask_of(check_vertex_set(g, verts)))
-
-
-def _chi_of_mask(g: Graph, mask: int, view: SubsetView | None = None) -> int:
-    """``chi_of_set`` of the members of ``mask``, from the memo of the
-    ``solving`` block if any; ``view`` is their ranked view when the
-    caller has built it already."""
+    if mask >> g.n:  # also catches a negative mask
+        raise ValueError(f"vertex mask outside 0..{g.n - 1}")
+    check_limit("chromatic_number", mask.bit_count())
     context = _SOLVING.get(None)
     known = {} if context is None else context[1]
     key = (g, mask)
@@ -394,3 +390,11 @@ def _chi_of_mask(g: Graph, mask: int, view: SubsetView | None = None) -> int:
             view, _ = ranked_view(g, mask)
         known[key] = chromatic_number(view)[0]
     return known[key]
+
+
+def _chi_or_none(g: Graph, mask: int) -> int | None:
+    """``chi_of_set`` of ``mask``, or None when the solver refuses the set."""
+    try:
+        return chi_of_set(g, mask)
+    except InstanceTooLarge:
+        return None

@@ -337,10 +337,9 @@ def max_matching_covered_chi(
             checked += 1
             # chi(X) <= |X|, so only sets larger than tau can violate.
             if xm.bit_count() > tau:
-                xs = frozenset(members(xm))
-                chi = chi_of_set(g, xs)
+                chi = chi_of_set(g, xm)
                 if chi > tau:
-                    violation.append((xs, chi))
+                    violation.append((frozenset(members(xm)), chi))
                     return True
         return any(scan(xm | 1 << v, v + 1) for v in range(start, n))
 

@@ -41,7 +41,7 @@ from .graphs import (
 )
 from .solvers import (
     Coloring,
-    InstanceTooLarge,
+    _chi_or_none,
     chi_of_set,
     greedy_coloring,
 )
@@ -113,9 +113,6 @@ class TemplateArray:
     def density(self) -> list[tuple[int, int]]:
         g, p = self.graph, self.params
         return [density_masks(g, t.core, p.alpha, p.eta) for t in self.templates]
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(members(self.h_mask | self.umask))
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,11 +363,10 @@ def extract_template_array(g: Graph, p: Params) -> tuple[TemplateArray, frozense
 # Cleaning passes
 
 
-def _most_chromatic(
-    g: Graph, vertex_sets: list[frozenset[int]]
-) -> tuple[list[int], int]:
-    """The exact chi of each set, and the position of the first largest."""
-    chis = [chi_of_set(g, vs) for vs in vertex_sets]
+def _most_chromatic(g: Graph, masks: list[int]) -> tuple[list[int], int]:
+    """The exact chi of each vertex mask, and the position of the first
+    largest."""
+    chis = [chi_of_set(g, m) for m in masks]
     return chis, chis.index(max(chis))
 
 
@@ -382,18 +378,6 @@ def _index_classes(n: int, arcs: list[tuple[int, int]]) -> list[list[int]]:
     dgraph = Digraph(n, arcs)
     col = color_bounded_outdegree(dgraph, dgraph.max_outdegree())
     return [[i for i in range(n) if col.colors[i] == c] for c in range(col.palette_size)]
-
-
-def _subarray(
-    arr: TemplateArray,
-    keep: list[int],
-    umask: int,
-    cleanliness: str,
-    partial2_degree: int | None = None,
-) -> TemplateArray:
-    templates = tuple(arr.templates[i] for i in keep)
-    u = frozenset(members(umask))
-    return TemplateArray(arr.graph, templates, u, arr.params, cleanliness, partial2_degree)
 
 
 def clean1(arr: TemplateArray) -> tuple[TemplateArray, dict]:
@@ -431,24 +415,21 @@ def clean1(arr: TemplateArray) -> tuple[TemplateArray, dict]:
 
     keeps = _index_classes(n, [(i, j) for i in range(n) for j in range(n)
                                if i != j and dense[i] & (hs[j] | buckets[j])])
-    cands = [
-        _subarray(arr, keep, _union(buckets[i] for i in keep), "partial1")
-        for keep in keeps
-    ]
-    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands])
+    # Each class by the vertices its array would hold: H and the buckets.
+    verts = [_union(hs[i] | buckets[i] for i in keep) for keep in keeps]
+    class_chis, chosen = _most_chromatic(g, verts)
     report["class_chis"] = class_chis
     report["chosen_class"] = chosen
-    partial = cands[chosen]
+    keep = keeps[chosen]
+    u_keep = _union(buckets[i] for i in keep)
 
-    dense_left = _union(dense[i] for i in keeps[chosen]) & (partial.h_mask | partial.umask)
-    if dense_left & ~partial.umask:
+    dense_left = _union(dense[i] for i in keep) & verts[chosen]
+    if dense_left & ~u_keep:
         raise AssertionError("dense vertex survived outside U after partial pass")
-    u_final = frozenset(members(partial.umask & ~dense_left))
-    out = replace(partial, u=u_final, cleanliness="clean1")
+    templates = tuple(arr.templates[i] for i in keep)
+    out = TemplateArray(g, templates, frozenset(members(u_keep & ~dense_left)), p, "clean1")
     report["removed_dense"] = members(dense_left)
-    report["chi_removed"] = (
-        chi_of_set(g, frozenset(report["removed_dense"])) if dense_left else 0
-    )
+    report["chi_removed"] = chi_of_set(g, dense_left) if dense_left else 0
     if not is_1_cleaned(out):
         raise AssertionError("clean1 output fails its predicate")
     return out, report
@@ -477,34 +458,30 @@ def clean2(arr: TemplateArray) -> tuple[TemplateArray, dict]:
         return replace(arr, cleanliness="clean2", partial2_degree=None), report
     n = arr.size
     bits, hs = g.bits, arr.h_masks()
-    h_ids = [members(h) for h in hs]
-    u_ids = members(arr.umask)
-
-    cands = []
-    heavy = [(j, i) for j in range(n) for i in range(n) if i != j
-             and any((bits[v] & hs[i]).bit_count() >= p.delta for v in h_ids[j])]
-    for keep in _index_classes(n, heavy):
-        h_keep = _union(hs[i] for i in keep)
-        u_c = _union(1 << u for u in u_ids if bits[u] & h_keep)
-        d_obs = max(
-            ((bits[v] & h_keep & ~hs[i]).bit_count() for i in keep for v in h_ids[i]),
-            default=0,
-        )
-        cands.append(_subarray(arr, keep, u_c, "partial2", partial2_degree=d_obs))
-    class_chis, chosen = _most_chromatic(g, [c.vertices() for c in cands])
-    partial = cands[chosen]
+    # The heavy arcs: j -> i when an H_j vertex sees H_i delta times.
+    heavy = [(j, i) for j, idx in _strong_contacts(arr) for i in idx if i != j]
+    keeps = _index_classes(n, heavy)
+    # Each class by the vertices its array would hold: H and the U next to it.
+    h_keeps = [_union(hs[i] for i in keep) for keep in keeps]
+    u_keeps = [arr.umask & neighbors_of(g, h) for h in h_keeps]
+    class_chis, chosen = _most_chromatic(g, [h | u for h, u in zip(h_keeps, u_keeps)])
+    keep, h_keep, u_keep = keeps[chosen], h_keeps[chosen], u_keeps[chosen]
     report["partial"] = {
         "class_chis": class_chis,
         "chosen_class": chosen,
-        "observed_degree": partial.partial2_degree,
+        "observed_degree": max(
+            ((bits[v] & h_keep & ~hs[i]).bit_count() for i in keep for v in members(hs[i])),
+            default=0,
+        ),
     }
 
     # Z vertices with a neighbour in another surviving core would leak
     # a cross-template edge past any stable split; drop them first.
-    ys = partial.y_masks()
+    kept = [arr.templates[i] for i in keep]
+    ys = [t.core.mask for t in kept]
     dropped: list[int] = []
     filtered_h: list[int] = []
-    for i, t in enumerate(partial.templates):
+    for i, t in enumerate(kept):
         y_other = _union(ys[:i] + ys[i + 1 :])
         cut = [z for z in members(t.hmask & ~ys[i]) if bits[z] & y_other]
         dropped += cut
@@ -517,25 +494,21 @@ def clean2(arr: TemplateArray) -> tuple[TemplateArray, dict]:
     for v, color in zip(ids, split.colors):
         w_classes[color] |= 1 << v
 
-    cands = []
-    u_ids = members(partial.umask)
-    for w in w_classes:
-        hs_new = [(h & w) | y for h, y in zip(filtered_h, ys)]
-        new_templates = tuple(
-            Template(core=t.core, h=frozenset(members(h)))
-            for t, h in zip(partial.templates, hs_new)
-        )
-        h_new = _union(hs_new)
-        u_new = frozenset(u for u in u_ids if bits[u] & h_new)
-        cands.append(TemplateArray(g, new_templates, u_new, p, "clean2"))
-    class_chis_u, chosen = _most_chromatic(g, [c.u for c in cands])
+    # Each class by its H sets and the U next to them.
+    h_classes = [[(h & w) | y for h, y in zip(filtered_h, ys)] for w in w_classes]
+    u_classes = [u_keep & neighbors_of(g, _union(h_w)) for h_w in h_classes]
+    class_chis_u, chosen = _most_chromatic(g, u_classes)
     report["split"] = {
         "class_chis_u": class_chis_u,
         "chosen_class": chosen,
         "palette": split.palette_size,
         "claimed_t": clean2_t_of(p),
     }
-    out = cands[chosen]
+    new_templates = tuple(
+        Template(core=t.core, h=frozenset(members(h)))
+        for t, h in zip(kept, h_classes[chosen])
+    )
+    out = TemplateArray(g, new_templates, frozenset(members(u_classes[chosen])), p, "clean2")
     if not is_2_cleaned(out):
         raise AssertionError("clean2 output fails its predicate")
     return out, report
@@ -548,14 +521,15 @@ def clean3(arr: TemplateArray) -> tuple[TemplateArray, dict]:
         raise ValueError("clean3 requires a 2-cleaned array")
     eps = epsilon_of(p)
     h_all = arr.h_mask
-    removed = frozenset(
-        u for u in members(arr.umask) if (g.bits[u] & h_all).bit_count() >= eps
+    removed = _union(
+        1 << u for u in members(arr.umask) if (g.bits[u] & h_all).bit_count() >= eps
     )
-    out = replace(arr, u=arr.u - removed, cleanliness="clean3", partial2_degree=None)
+    u_left = frozenset(members(arr.umask & ~removed))
+    out = replace(arr, u=u_left, cleanliness="clean3", partial2_degree=None)
     report = {
         "pass": "clean3",
         "epsilon": eps,
-        "removed": sorted(removed),
+        "removed": members(removed),
         "chi_removed": chi_of_set(g, removed) if removed else 0,
     }
     if not is_3_cleaned(out):
@@ -643,21 +617,15 @@ def _gate(
 Counts = Iterator[tuple[int, tuple[int, ...]]]
 
 
-def _contacts(
-    masks_of: Callable[[TemplateArray], list[int]],
-) -> Callable[[TemplateArray], Counts]:
-    """A counter of the sets (the cores or the H sets) each array vertex
-    touches."""
-
-    def counts(arr: TemplateArray) -> Counts:
-        verts = arr.h_mask | arr.umask
-        touched: dict[int, list[int]] = {v: [] for v in members(verts)}
-        for i, m in enumerate(masks_of(arr)):
-            for v in members(neighbors_of(arr.graph, m) & verts):
-                touched[v].append(i)
-        return ((v, tuple(idx)) for v, idx in touched.items())
-
-    return counts
+def _contacts(arr: TemplateArray, masks: list[int]) -> Counts:
+    """Per array vertex, lowest first, the positions in ``masks`` (the
+    cores, the H sets, or a shadowing's blocks) of the sets it touches."""
+    verts = arr.h_mask | arr.umask
+    touched: dict[int, list[int]] = {v: [] for v in members(verts)}
+    for i, m in enumerate(masks):
+        for v in members(neighbors_of(arr.graph, m) & verts):
+            touched[v].append(i)
+    return ((v, tuple(idx)) for v, idx in touched.items())
 
 
 def _strong_contacts(arr: TemplateArray) -> Counts:
@@ -698,9 +666,9 @@ COUNTER_RULES = (
     ("core_contacts", "clean1",
      lambda p: p.zeta >= max(p.eta + p.delta, p.alpha),
      "needs zeta >= max(eta + delta, alpha)",
-     _contacts(TemplateArray.y_masks), lambda p: 2 * p.delta, operator.gt),
+     lambda arr: _contacts(arr, arr.y_masks()), lambda p: 2 * p.delta, operator.gt),
     ("template_contacts", "clean1", *_TEMPLATE_SIDE,
-     _contacts(TemplateArray.h_masks), gamma_of, operator.ge),
+     lambda arr: _contacts(arr, arr.h_masks()), gamma_of, operator.ge),
     ("strong_contacts", "clean1", *_TEMPLATE_SIDE,
      _strong_contacts, strong_s_of, operator.gt),
     ("dense_count", None, None, "",
@@ -778,9 +746,8 @@ def _shadow_chi(
         return AuditCheck(
             "shadow_chi", "skipped", reason="second-neighbourhood hypothesis fails"
         )
-    try:
-        chi = chi_of_set(arr.graph, arr.u - privatization.pi)
-    except InstanceTooLarge:
+    chi = _chi_or_none(arr.graph, arr.umask & ~mask_of(privatization.pi))
+    if chi is None:
         return AuditCheck(
             "shadow_chi",
             "skipped",

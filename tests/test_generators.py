@@ -11,12 +11,14 @@ from broomlab.generators import (
     generate,
     groetzsch,
     kneser,
+    mycielski,
     mycielski_tower,
+    path,
     petersen,
     plant_core,
 )
 from broomlab.graph_io import render_graph
-from broomlab.graphs import Graph
+from broomlab.graphs import Digraph, Graph
 from broomlab.oracles import adjacency
 from broomlab.solvers import chromatic_number, clique_number
 from broomlab.structures import find_core, verify_core
@@ -58,6 +60,34 @@ def test_kneser_refuses_too_many_vertices_before_building_them(monkeypatch):
         with pytest.raises(ValueError) as info:
             generate(GenSpec("kneser", {"n": n, "k": k}))
         assert str(info.value) == f"vertex count {count} outside 0..4096"
+
+
+def test_families_refuse_too_many_vertices_before_building_them(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family drew or built before refusing")
+
+    base = Graph(2048)  # one Mycielski step gives 2 * 2048 + 1 = 4097
+    monkeypatch.setattr("broomlab.generators.Graph", refuse)
+    monkeypatch.setattr("random.Random", refuse)
+    calls = [
+        lambda: Graph(4097),  # the package's own Graph, not the patched name
+        lambda: Digraph(4097),
+        lambda: cycle(4097),
+        lambda: path(4097),
+        lambda: complete_multipartite([4000, 97]),
+        lambda: erdos_renyi(4097, 0.5, 1),
+        lambda: plant_core(4097, 2, 2, 0.1, 1),
+        lambda: mycielski(base),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "vertex count 4097 outside 0..4096"
+    # A family's own argument checks still come first.
+    with pytest.raises(ValueError, match="probability"):
+        erdos_renyi(4097, 1.5, 1)
+    with pytest.raises(ValueError, match="a\\*b <= n"):
+        plant_core(4097, 4097, 2, 0.1, 1)
 
 
 def test_mycielski_tower():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -6,9 +8,11 @@ import pytest
 from broomlab.constants import epsilon_of, shadow_chi_bound_of
 from broomlab.generators import FIXTURES, complete_multipartite
 from broomlab.graphs import Digraph, Graph
+from broomlab.pipeline import run_pipeline
 from broomlab.shadows import Privatization
 from broomlab.solvers import solving, validate_coloring
 from broomlab.structures import CoreWitness, Params
+from broomlab.suites import _pipeline_instances
 from broomlab.templates import (
     AuditViolation,
     Template,
@@ -381,6 +385,36 @@ def test_clean3_removes_heavy_vertex():
     assert report["removed"] == [u]
     assert is_3_cleaned(out)
     assert u not in out.u
+
+
+# sha256 of the pipeline's sorted-key JSON on the hosts below: a change
+# that keeps every pipeline output leaves it unchanged.
+CLASS_CHOICE_DIGEST = "bcb3f138879165e198d434eae3b3ad8d8cb6a21b786abc1bb9fcbcf070963627"
+
+
+def test_cleaning_keeps_the_first_most_chromatic_class():
+    # On the pipeline_mix hosts at the benchmark's flags, clean2's split
+    # keeps a later class 94 times, clean1 does on host 255 and clean2's
+    # partial step on hosts 98 and 302; the golden hosts never do.
+    p = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+    digest = hashlib.sha256()
+    later = 0
+    for _, g in _pipeline_instances(500, 11):
+        payload = run_pipeline(g, p).to_json_dict()
+        digest.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        reports = {stage["name"]: stage["report"] for stage in payload["stages"]}
+        choices = []
+        if not reports["clean1"]["identity"]:
+            choices.append((reports["clean1"]["class_chis"], reports["clean1"]["chosen_class"]))
+        if not reports["clean2"]["identity"]:
+            partial, split = reports["clean2"]["partial"], reports["clean2"]["split"]
+            choices += [(partial["class_chis"], partial["chosen_class"]),
+                        (split["class_chis_u"], split["chosen_class"])]
+        for chis, chosen in choices:
+            assert chosen == chis.index(max(chis)), (chis, chosen)
+            later += chosen > 0
+    assert later == 97
+    assert digest.hexdigest() == CLASS_CHOICE_DIGEST
 
 
 def test_partial2_degree_predicate(small_params, fixtures):
