@@ -13,7 +13,6 @@ from .solvers import (
     chi_of_set,
     chromatic_number,
 )
-from .trees import is_T_delta_free
 
 EXHAUSTIVE_SUBSET_LIMIT = 16
 
@@ -386,6 +385,8 @@ def check_conditions(
     only (the function is otherwise unconstrained), a documented
     narrowing of a universally quantified statement.
     """
+    from .trees import is_T_delta_free
+
     t_free = is_T_delta_free(g, p.delta)
     chi2 = chi_local(g, 2) if g.n else 0
     mc = max_matching_covered_chi(g, p.tau, exhaustive_limit=exhaustive_limit)

@@ -351,7 +351,7 @@ def suite_pipeline(instances: int = 100, seed: int = 0) -> SuiteResult:
     return result
 
 
-# In alphabetical order: ``broomlab lemma-check`` lists them in this order.
+# In alphabetical order: an unknown suite's error lists them in this order.
 SUITES = {
     "chromatic": suite_chromatic,
     "containment": suite_containment,
@@ -366,7 +366,7 @@ SUITES = {
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise ValueError(f"unknown suite {name!r} (known: {', '.join(SUITES)})")
     fn = SUITES[name]
     if trials is None:
         return fn(seed=seed)

@@ -410,6 +410,45 @@ def test_cli_lemma_check_refuses_fewer_than_one_trial(tmp_path, trials, capsys):
     assert not out.exists()
 
 
+def test_cli_lemma_check_refuses_an_unknown_suite_naming_the_known(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert run_cli("lemma-check", "--suite", "nope", "--out", str(out)) == 2
+    assert error_of(capsys) == {
+        "type": "ValueError",
+        "message": "unknown suite 'nope' (known: chromatic, containment, core, "
+        "daisy, digraph, pipeline, private_cover, stable_removal)",
+    }
+    assert not out.exists()
+
+
+def test_cli_calls_the_library_through_its_traced_names(tmp_path, monkeypatch):
+    # perfbench's tracer times the library behind these commands by
+    # rebinding cli.run_pipeline and cli.ledger; a command that reached
+    # the library another way would read 0 there.
+    from broomlab import cli
+
+    calls = []
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("run_pipeline")
+    counted("ledger")
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(render_graph(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))
+    for command in ("pipeline", "audit"):
+        assert run_cli(command, "--graph", str(graph_file),
+                       "--out", str(tmp_path / f"{command}.json")) == 0
+    assert run_cli("constants", "--out", str(tmp_path / "ledger.json")) == 0
+    assert calls == ["run_pipeline", "run_pipeline", "ledger"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "pipeline", "audit", "survey"])
 def test_cli_refuses_a_negative_solver_limit(tmp_path, command, capsys):
     # Refused before the input is read: the input file does not exist.

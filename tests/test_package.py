@@ -39,6 +39,42 @@ def test_constants_does_not_load_structures():
     assert "broomlab.structures" not in loaded
 
 
+# What ``import broomlab.cli`` loads; each subcommand adds the modules it runs.
+CLI = {"broomlab", "broomlab.cli", "broomlab.constants", "broomlab.graphs",
+       "broomlab.solvers", "broomlab.structures"}
+HEAVY = {f"broomlab.{m}" for m in
+         ("trees", "templates", "shadows", "pipeline", "suites", "oracles")}
+
+
+def test_each_cli_command_loads_only_the_modules_it_runs(tmp_path):
+    from broomlab.graph_io import render_graph
+    from broomlab.graphs import Graph
+
+    graph = tmp_path / "c4.edges"
+    graph.write_text(render_graph(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"instances": [{"family": "cycle", "params": {"n": 5}}]}')
+    out = str(tmp_path / "out")
+    pipeline = {"graph_io", "pipeline", "shadows", "templates", "trees"}
+    commands = {
+        "constants": (["constants"], {"bignum"}),
+        "gen": (["gen", "--family", "cycle", "--params", '{"n": 5}'],
+                {"generators", "graph_io"}),
+        "analyze": (["analyze", "--graph", str(graph)], {"graph_io", "trees"}),
+        "survey": (["survey", "--manifest", str(manifest)], {"generators", "trees"}),
+        "pipeline": (["pipeline", "--graph", str(graph)], pipeline),
+        "audit": (["audit", "--graph", str(graph)], pipeline),
+    }
+    for name, (argv, adds) in commands.items():
+        loaded = loaded_after(
+            f"from broomlab import cli\nassert cli.main({argv + ['--out', out]!r}) == 0")
+        assert loaded == sorted(CLI | {f"broomlab.{m}" for m in adds}), name
+        if name in ("constants", "gen"):
+            assert not HEAVY & set(loaded), name
+    assert loaded_after("import broomlab.cli") == sorted(CLI)
+    assert "broomlab.trees" not in loaded_after("import broomlab.structures")
+
+
 def test_public_names_are_the_submodules_objects():
     assert len(broomlab.__all__) == 70
     for name in broomlab.__all__:
