@@ -210,7 +210,8 @@ def ranked_view(g: Graph, mask: int) -> tuple[SubsetView, list[int]]:
     if mask == (1 << g.n) - 1 and ids == list(range(g.n)):
         return SubsetView(g.n, tuple(bits)), ids
     to_rank = {1 << v: 1 << r for r, v in enumerate(ids)}  # host bit -> view bit
-    return SubsetView(len(ids), tuple(remap(bits[v] & mask, to_rank) for v in ids)), ids
+    # From a list: tuple(<generator>) over-allocates and shrinks, and freed ones pile up.
+    return SubsetView(len(ids), tuple([remap(bits[v] & mask, to_rank) for v in ids])), ids
 
 
 def bfs_levels(g: Graph, v: int, k: int) -> tuple[int, int]:

@@ -76,7 +76,7 @@ def build_shadowing(arr: TemplateArray) -> Shadowing:
     for u in members(arr.umask):
         i = min(i for i in range(n) if g.bits[u] & hs[i])
         blocks[i].add(u)
-    return Shadowing(tuple(frozenset(b) for b in blocks))
+    return Shadowing(tuple([frozenset(b) for b in blocks]))
 
 
 def shadowing_degree(
@@ -390,11 +390,11 @@ def privatize(arr: TemplateArray) -> tuple[TemplateArray, Privatization, dict]:
     pc = private_cover(g, frozenset(members(z)), frozenset(members(b)), quota)
     kept, peeled = mask_of(pc.a_prime), mask_of(pc.b_prime)
     pi = [v for v in members(peeled) if bits[v] & kept]
-    pairs = tuple((v, lowest(bits[v] & kept)) for v in pi)
-    new_templates = tuple(
+    pairs = tuple([(v, lowest(bits[v] & kept)) for v in pi])
+    new_templates = tuple([
         Template(core=t.core, h=frozenset(members((t.hmask & kept) | t.core.mask)))
         for t in arr.templates
-    )
+    ])
     rest = arr.umask & ~peeled  # the new U is rest and pi
     out = replace(arr, templates=new_templates, u=frozenset(members(rest) + pi))
     priv = Privatization(

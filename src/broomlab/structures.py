@@ -33,7 +33,7 @@ class CoreWitness:
 
     def __post_init__(self):
         object.__setattr__(self, "_vertices", frozenset().union(*self.parts))
-        object.__setattr__(self, "masks", tuple(mask_of(p) for p in self.parts))
+        object.__setattr__(self, "masks", tuple([mask_of(p) for p in self.parts]))
         object.__setattr__(self, "mask", mask_of(self._vertices))
 
     @property
@@ -194,7 +194,7 @@ def find_core(
             if len(part) == a:
                 parts.append(part.copy())
                 if len(parts) == b:
-                    out = CoreWitness(tuple(frozenset(p) for p in parts))
+                    out = CoreWitness(tuple([frozenset(p) for p in parts]))
                 else:
                     out = build_part(inter, part[0])
                 parts.pop()

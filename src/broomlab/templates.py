@@ -308,7 +308,7 @@ def gallai_roy_color(d: Digraph) -> Coloring:
     for u, v in d.arcs():
         into[v] |= 1 << u
     colors, palette = _longest_path((v, into[v]) for v in topo)
-    return Coloring(tuple(colors[v] for v in range(d.n)), palette)
+    return Coloring(tuple([colors[v] for v in range(d.n)]), palette)
 
 
 def _longest_path(order: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
@@ -426,7 +426,7 @@ def clean1(arr: TemplateArray) -> tuple[TemplateArray, dict]:
     dense_left = _union(dense[i] for i in keep) & verts[chosen]
     if dense_left & ~u_keep:
         raise AssertionError("dense vertex survived outside U after partial pass")
-    templates = tuple(arr.templates[i] for i in keep)
+    templates = tuple([arr.templates[i] for i in keep])
     out = TemplateArray(g, templates, frozenset(members(u_keep & ~dense_left)), p, "clean1")
     report["removed_dense"] = members(dense_left)
     report["chi_removed"] = chi_of_set(g, dense_left) if dense_left else 0
@@ -504,10 +504,10 @@ def clean2(arr: TemplateArray) -> tuple[TemplateArray, dict]:
         "palette": split.palette_size,
         "claimed_t": clean2_t_of(p),
     }
-    new_templates = tuple(
+    new_templates = tuple([
         Template(core=t.core, h=frozenset(members(h)))
         for t, h in zip(kept, h_classes[chosen])
-    )
+    ])
     out = TemplateArray(g, new_templates, frozenset(members(u_classes[chosen])), p, "clean2")
     if not is_2_cleaned(out):
         raise AssertionError("clean2 output fails its predicate")
@@ -634,11 +634,11 @@ def _strong_contacts(arr: TemplateArray) -> Counts:
     bits, hs, delta = arr.graph.bits, arr.h_masks(), arr.params.delta
     for j, hj in enumerate(hs):
         h_ids = members(hj)
-        yield j, tuple(
+        yield j, tuple([
             i
             for i, h in enumerate(hs)
             if any((bits[v] & h).bit_count() >= delta for v in h_ids)
-        )
+        ])
 
 
 def _dense_count(arr: TemplateArray) -> Counts:
@@ -653,7 +653,7 @@ def _nested_indices(arr: TemplateArray) -> Counts:
     near = [neighbors_of(g, h) for h in arr.h_masks()]
     for v in members(u):
         around = g.bits[v] & u
-        yield v, tuple(i for i, m in enumerate(near) if m & around)
+        yield v, tuple([i for i, m in enumerate(near) if m & around])
 
 
 _TEMPLATE_SIDE = (

@@ -298,7 +298,7 @@ def find_rooted_broom(
         if picked is None:
             return None
         hosts = path + [cand[k] for k in picked]
-        pairs = tuple((p, hosts[p]) for p in range(len(hosts)))
+        pairs = tuple([(p, hosts[p]) for p in range(len(hosts))])
         emb = Embedding(pairs)
         if not verify_embedding(host, pattern, emb):
             return None

@@ -1,16 +1,20 @@
 """Exact searches are recursive closures; each call must break its own
 function -> cell -> function cycle, so no garbage waits for the cycle
-collector (which a long run pays for in peak memory)."""
+collector (which a long run pays for in peak memory).  Nor may repeated
+pipeline runs pile up blocks that no collection frees."""
 
 import gc
+import sys
 
 import pytest
 
 from broomlab.generators import erdos_renyi
 from broomlab.graphs import Graph, least_stable_subset
+from broomlab.pipeline import run_pipeline
 from broomlab.shadows import build_shadowing, find_bunch
 from broomlab.solvers import _k_colorable, chi_local, chromatic_number, clique_number
 from broomlab.structures import Params, find_core, max_matching_covered_chi
+from broomlab.suites import _pipeline_instances
 from broomlab.templates import extract_template_array
 from broomlab.trees import build_T, contains_induced, find_rooted_broom
 
@@ -53,3 +57,32 @@ def test_search_leaves_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def pipeline_blocks_retained() -> int:
+    """Allocated blocks gained over 5 passes of ``run_pipeline`` on the
+    100-host acceptance mix at the ``pipeline_mix`` flags, after 2 warm-up
+    passes.  A full collection empties the interpreter's free lists, so
+    the collector is off while the passes run."""
+    p = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
+    hosts = [g for _, g in _pipeline_instances(100, 11)]
+
+    def run(passes: int) -> None:
+        for _ in range(passes):
+            for g in hosts:
+                run_pipeline(g, p)
+
+    gc.collect()
+    gc.disable()
+    try:
+        run(2)
+        before = sys.getallocatedblocks()
+        run(5)
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+
+
+def test_pipeline_passes_retain_no_memory():
+    # A tuple built at a guessed length retains about 650 blocks a pass.
+    assert pipeline_blocks_retained() < 500
