@@ -7,6 +7,11 @@ its eye in U, and its petals inside a single foreign block.  The private
 cover construction peels off matching-covered layers of a covered set
 until every surviving cover vertex owns an exact number of private
 clients; privatization applies it to the Z part of an array.
+
+Every vertex set that a search here is given or stores is an int mask
+over vertex ids.  Frozensets stay only on the sets a caller hands to
+``private_cover`` and ``verify_private_cover``, on the array that
+``privatize`` builds, and in ``Shadowing.blocks``, the oracle's view.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .constants import nested_s_of, shadow_chi_bound_of, shadow_chi_r_of
 from .graphs import (
     Graph,
     check_vertex_set,
-    is_stable,
     least_stable_subset,
     lowest,
     mask_of,
@@ -38,24 +42,25 @@ from .templates import (
 
 @dataclass(frozen=True)
 class Shadowing:
-    blocks: tuple[frozenset[int], ...]
+    """One block of U per template, each an int mask over vertex ids."""
+
+    masks: tuple[int, ...]
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks as vertex sets, for the set-based daisy oracle."""
+        return tuple([frozenset(members(b)) for b in self.masks])
 
     def to_json_dict(self) -> dict:
-        return {"blocks": [sorted(b) for b in self.blocks]}
-
-
-def _owners(sets) -> dict[int, int]:
-    """Each member of the given sets mapped to the position of the last
-    set holding it."""
-    return {v: i for i, vs in enumerate(sets) for v in vs}
+        return {"blocks": [members(b) for b in self.masks]}
 
 
 def validate_shadowing(arr: TemplateArray, s: Shadowing) -> list[str]:
-    if len(s.blocks) != arr.size:
+    if len(s.masks) != arr.size:
         return ["block count differs from template count"]
     problems = []
     union = 0
-    for i, b in enumerate(map(mask_of, s.blocks)):
+    for i, b in enumerate(s.masks):
         if b & union:
             problems.append(f"block {i} overlaps an earlier block")
         union |= b
@@ -69,24 +74,25 @@ def validate_shadowing(arr: TemplateArray, s: Shadowing) -> list[str]:
 def build_shadowing(arr: TemplateArray) -> Shadowing:
     """Partition U into per-template blocks: each vertex goes to the
     first template it touches (the least-index shadowing)."""
-    g = arr.graph
-    n = arr.size
-    hs = arr.h_masks()
-    blocks: list[set[int]] = [set() for _ in range(n)]
+    g, n, hs = arr.graph, arr.size, arr.h_masks()
+    blocks = [0] * n
     for u in members(arr.umask):
         i = min(i for i in range(n) if g.bits[u] & hs[i])
-        blocks[i].add(u)
-    return Shadowing(tuple([frozenset(b) for b in blocks]))
+        blocks[i] |= 1 << u
+    return Shadowing(tuple(blocks))
 
 
 def shadowing_degree(
-    arr: TemplateArray, s: Shadowing, x: frozenset[int] | None = None
+    arr: TemplateArray, s: Shadowing, x: int | None = None
 ) -> tuple[int, int | None]:
-    """Maximum number of blocks (restricted to x) any array vertex
-    touches, with the lowest vertex attaining it."""
-    xs = arr.umask if x is None else mask_of(check_vertex_set(arr.graph, x))
+    """Maximum number of blocks (restricted to ``x``, an int mask of
+    vertex ids, all of U when None) any array vertex touches, with the
+    lowest vertex attaining it."""
+    xs = arr.umask if x is None else x
+    if xs >> arr.graph.n:  # also catches a negative mask
+        raise ValueError(f"vertex mask outside 0..{arr.graph.n - 1}")
     best, argmax = 0, None
-    for v, idx in _contacts(arr, [mask_of(b) & xs for b in s.blocks]):
+    for v, idx in _contacts(arr, [b & xs for b in s.masks]):
         if len(idx) > best:
             best, argmax = len(idx), v
     return best, argmax
@@ -96,7 +102,7 @@ def shadowing_degree(
 class Daisy:
     root: int
     eye: int
-    petals: frozenset[int]
+    petals: int  # a mask
     root_index: int
     petal_index: int
 
@@ -104,27 +110,27 @@ class Daisy:
 def validate_daisy(arr: TemplateArray, s: Shadowing, d: Daisy) -> list[str]:
     g, p = arr.graph, arr.params
     problems = []
-    if len(d.petals) != p.delta:
+    if d.petals.bit_count() != p.delta:
         problems.append("petal count is not delta")
-    if d.root not in arr.templates[d.root_index].h:
+    if not arr.templates[d.root_index].hmask >> d.root & 1:
         problems.append("root outside its declared template")
-    if d.eye not in arr.u:
+    if not arr.umask >> d.eye & 1:
         problems.append("eye outside U")
     if d.petal_index == d.root_index:
         problems.append("petal block equals root template")
-    if not d.petals <= s.blocks[d.petal_index]:
+    if d.petals & ~s.masks[d.petal_index]:
         problems.append("petals leave their block")
-    if mask_of(d.petals | {d.eye}) & arr.h_mask:
+    if (d.petals | 1 << d.eye) & arr.h_mask:
         problems.append("eye or petal inside H")
     bits = g.bits
     if not bits[d.root] >> d.eye & 1:
         problems.append("eye not adjacent to root")
-    for q in d.petals:
+    for q in members(d.petals):
         if not bits[d.eye] >> q & 1:
             problems.append("petal not adjacent to eye")
         if bits[d.root] >> q & 1:
             problems.append("petal adjacent to root")
-    if not is_stable(g, d.petals):
+    if neighbors_of(g, d.petals) & d.petals:
         problems.append("petals not stable")
     return problems
 
@@ -132,21 +138,17 @@ def validate_daisy(arr: TemplateArray, s: Shadowing, d: Daisy) -> list[str]:
 def find_daisy(arr: TemplateArray, s: Shadowing) -> Daisy | None:
     """Exhaustive daisy search inside H union U, lowest choices first."""
     g, p = arr.graph, arr.params
-    bits, um = g.bits, arr.umask
-    owner = _owners(s.blocks)
-    h_owner = _owners(arr.h_sets())
+    bits, um, hs = g.bits, arr.umask, arr.h_masks()
     for eye in members(um):
         for root in members(bits[eye] & arr.h_mask):
-            i = h_owner[root]
-            by_block: dict[int, list[int]] = {}
-            for q in members(bits[eye] & um & ~bits[root]):
-                if owner.get(q, i) != i:
-                    by_block.setdefault(owner[q], []).append(q)
-            for j in sorted(by_block):
-                cand = by_block[j]
+            i = next(i for i, h in enumerate(hs) if h >> root & 1)
+            # Petals: U neighbours of the eye, off the root's neighbours and block.
+            near = bits[eye] & um & ~bits[root] & ~s.masks[i]
+            for j, block in enumerate(s.masks):
+                cand = members(near & block)
                 picked = least_stable_subset(g, cand, p.delta)
                 if picked is not None:
-                    petals = frozenset(cand[k] for k in picked)
+                    petals = sum(1 << cand[k] for k in picked)
                     return Daisy(root, eye, petals, i, j)
     return None
 
@@ -173,15 +175,14 @@ def validate_bunch(
 
 def _interference(g: Graph, a: Daisy, b: Daisy) -> list[str]:
     """Every way two daisies of a bunch fail to be separated."""
-    sa = a.petals | {a.eye}
-    sb = b.petals | {b.eye}
+    sa, sb = a.petals | 1 << a.eye, b.petals | 1 << b.eye
     problems = []
     if sa & sb:
         problems.append("eye/petal sets intersect")
-    if neighbors_of(g, mask_of(sa)) & mask_of(sb):
+    if neighbors_of(g, sa) & sb:
         problems.append("edge between eye/petal sets")
     for x, y in ((a, b), (b, a)):
-        if g.bits[x.root] & mask_of(y.petals):
+        if g.bits[x.root] & y.petals:
             problems.append("root adjacent to a foreign petal")
     return problems
 
@@ -195,34 +196,32 @@ def find_bunch(
     if count < 1:
         raise ValueError("count must be positive")
     g, p = arr.graph, arr.params
-    bits = g.bits
-    umask = arr.umask
-    owner = _owners(s.blocks)
-    n = arr.size
+    bits, umask, n = g.bits, arr.umask, arr.size
 
     def daisies_for(i: int, j: int) -> list[Daisy]:
         out = []
+        block = s.masks[j] & umask
         for eye in members(umask):
-            cand_all = [q for q in members(bits[eye] & umask) if owner.get(q) == j]
             for root in members(bits[eye] & arr.templates[i].hmask):
-                cand = [q for q in cand_all if not bits[root] >> q & 1]
+                cand = members(bits[eye] & block & ~bits[root])
                 for petals in combinations(cand, p.delta):
-                    if is_stable(g, petals):
-                        out.append(Daisy(root, eye, frozenset(petals), i, j))
+                    m = sum(1 << q for q in petals)
+                    if not neighbors_of(g, m) & m:
+                        out.append(Daisy(root, eye, m, i, j))
         return out
 
     for i in range(n):
-        blocks = [j for j in range(n) if j != i and mask_of(s.blocks[j]) & umask]
+        blocks = [j for j in range(n) if j != i and s.masks[j] & umask]
         if len(blocks) < count:
             continue
+        options = [daisies_for(i, j) for j in blocks]
         chosen: list[Daisy] = []
 
         def pick(start: int) -> bool:
             if len(chosen) == count:
                 return True
             for k in range(start, len(blocks)):
-                j = blocks[k]
-                for d in daisies_for(i, j):
+                for d in options[k]:
                     if not any(_interference(g, d, c) for c in chosen):
                         chosen.append(d)
                         if pick(k + 1):
@@ -244,9 +243,11 @@ def find_bunch(
 
 @dataclass(frozen=True)
 class PrivateCover:
-    a_prime: frozenset[int]
-    b_prime: frozenset[int]
-    decomposition: tuple[frozenset[int], ...]
+    """The kept cover, the peeled set and its layers, as int masks."""
+
+    a_prime: int
+    b_prime: int
+    decomposition: tuple[int, ...]
 
 
 def private_cover(
@@ -261,7 +262,6 @@ def private_cover(
     vertex keeps at most one cover neighbour, and every cover vertex
     owns exactly d peeled clients.
     """
-    bits = g.bits
     a_mask = mask_of(check_vertex_set(g, a))
     b_mask = mask_of(check_vertex_set(g, b))
     if a_mask & b_mask:
@@ -269,11 +269,16 @@ def private_cover(
     if d < 0:
         raise ValueError("layer count must be nonnegative")
     for v in members(b_mask):
-        if not bits[v] & a_mask:
+        if not g.bits[v] & a_mask:
             raise ValueError(f"vertex {v} is not covered")
+    return _peel(g, a_mask, b_mask, d)
 
+
+def _peel(g: Graph, a_mask: int, b_mask: int, d: int) -> PrivateCover:
+    """``private_cover`` on masks whose preconditions hold."""
+    bits = g.bits
     kept, peeled = a_mask, 0
-    layers: list[frozenset[int]] = []
+    layers: list[int] = []
     for _ in range(d):
         remaining = b_mask & ~peeled
         clients = members(remaining)
@@ -292,33 +297,29 @@ def private_cover(
             ]
             # Minimality guarantees at least one private client.
             layer |= 1 << private[0]
-        layers.append(frozenset(members(layer)))
+        layers.append(layer)
         peeled |= layer
-    return PrivateCover(
-        a_prime=frozenset(members(kept)),
-        b_prime=frozenset(members(peeled)),
-        decomposition=tuple(layers),
-    )
+    return PrivateCover(a_prime=kept, b_prime=peeled, decomposition=tuple(layers))
 
 
 def verify_private_cover(
     g: Graph, a: frozenset[int], b: frozenset[int], d: int, pc: PrivateCover
 ) -> list[str]:
-    bits = g.bits
-    kept, peeled = mask_of(pc.a_prime), mask_of(pc.b_prime)
+    bits, kept, peeled = g.bits, pc.a_prime, pc.b_prime
+    b_mask = mask_of(b)
     problems = []
-    if not pc.a_prime <= a or not pc.b_prime <= b:
+    if kept & ~mask_of(a) or peeled & ~b_mask:
         problems.append("outputs leave their source sets")
-    for v in members(mask_of(b) & ~peeled & ~neighbors_of(g, kept)):
+    for v in members(b_mask & ~peeled & ~neighbors_of(g, kept)):
         problems.append(f"vertex {v} lost its cover")
     if len(pc.decomposition) != d:
         problems.append("wrong number of layers")
-    union: frozenset[int] = frozenset()
+    union = 0
     for layer in pc.decomposition:
         union |= layer
-        if not is_matching_covered(g, layer).ok:
+        if not is_matching_covered(g, members(layer)).ok:
             problems.append("layer is not matching-covered")
-    if union != pc.b_prime:
+    if union != peeled:
         problems.append("layers do not union to the peeled set")
     for v in members(peeled):
         if (bits[v] & kept).bit_count() > 1:
@@ -331,27 +332,28 @@ def verify_private_cover(
 
 @dataclass(frozen=True)
 class Privatization:
-    pi: frozenset[int]
+    """``pi``, the peeled layers and the peeled set, as int masks."""
+
+    pi: int
     private_neighbor: tuple[tuple[int, int], ...]  # (pi vertex, Z vertex)
-    cover_decomposition: tuple[frozenset[int], ...]
-    b_source: frozenset[int]
+    cover_decomposition: tuple[int, ...]
+    b_source: int
 
     def to_json_dict(self) -> dict:
         return {
-            "pi": sorted(self.pi),
+            "pi": members(self.pi),
             "private_neighbor": {str(k): v for k, v in self.private_neighbor},
-            "cover_decomposition": [sorted(s) for s in self.cover_decomposition],
-            "b_source": sorted(self.b_source),
+            "cover_decomposition": [members(s) for s in self.cover_decomposition],
+            "b_source": members(self.b_source),
         }
 
 
 def validate_privatization(arr: TemplateArray, p: Privatization) -> list[str]:
     bits, y = arr.graph.bits, arr.y_mask
     z = arr.h_mask & ~y
-    pi = mask_of(p.pi)
     problems = []
     nm = dict(p.private_neighbor)
-    for v in sorted(p.pi):
+    for v in members(p.pi):
         zn = bits[v] & z
         if zn.bit_count() != 1:
             problems.append(f"pi vertex {v} has {zn.bit_count()} Z neighbours")
@@ -361,7 +363,7 @@ def validate_privatization(arr: TemplateArray, p: Privatization) -> list[str]:
             problems.append(f"pi vertex {v} touches a core")
     quota = arr.params.delta * arr.params.tau
     for u in members(z):
-        count = (bits[u] & pi).bit_count()
+        count = (bits[u] & p.pi).bit_count()
         if count != quota:
             problems.append(f"Z vertex {u} has {count} != {quota} pi neighbours")
     return problems
@@ -387,30 +389,25 @@ def privatize(arr: TemplateArray) -> tuple[TemplateArray, Privatization, dict]:
             f"corrupt array: U vertex {lowest(stray)} has neighbours in neither Y nor Z"
         )
     quota = p.delta * p.tau
-    pc = private_cover(g, frozenset(members(z)), frozenset(members(b)), quota)
-    kept, peeled = mask_of(pc.a_prime), mask_of(pc.b_prime)
-    pi = [v for v in members(peeled) if bits[v] & kept]
-    pairs = tuple([(v, lowest(bits[v] & kept)) for v in pi])
+    pc = _peel(g, z, b, quota)
+    kept, peeled = pc.a_prime, pc.b_prime
+    pi = peeled & neighbors_of(g, kept)
+    pairs = tuple([(v, lowest(bits[v] & kept)) for v in members(pi)])
     new_templates = tuple([
         Template(core=t.core, h=frozenset(members((t.hmask & kept) | t.core.mask)))
         for t in arr.templates
     ])
     rest = arr.umask & ~peeled  # the new U is rest and pi
-    out = replace(arr, templates=new_templates, u=frozenset(members(rest) + pi))
-    priv = Privatization(
-        pi=frozenset(pi),
-        private_neighbor=pairs,
-        cover_decomposition=pc.decomposition,
-        b_source=pc.b_prime,
-    )
+    out = replace(arr, templates=new_templates, u=frozenset(members(rest | pi)))
+    priv = Privatization(pi, pairs, pc.decomposition, peeled)
     chi_u_before = _chi_or_none(g, arr.umask)
     chi_rest = _chi_or_none(g, rest)
     chi_peeled = _chi_or_none(g, peeled)
     report = {
         "pass": "privatize",
         "quota": quota,
-        "pi_size": len(pi),
-        "peeled": sorted(pc.b_prime),
+        "pi_size": pi.bit_count(),
+        "peeled": members(peeled),
         "chi_u_before": chi_u_before,
         "chi_u_after_minus_pi": chi_rest,
         "chi_peeled": chi_peeled,
@@ -469,8 +466,8 @@ def strong_triple_audit(
     """
     g, p = arr.graph, arr.params
     bits, n = g.bits, arr.size
-    pi = mask_of(priv.pi)
-    rest = [mask_of(b) & ~pi for b in s.blocks]
+    pi = priv.pi
+    rest = [b & ~pi for b in s.masks]
 
     def has_stable_neighbors(v: int, pool: int, avoid: int | None) -> bool:
         cand = bits[v] & pool & ~(0 if avoid is None else bits[avoid])
@@ -496,16 +493,15 @@ def strong_triple_audit(
 
     packing: dict[int, int] = {}
     for i, ts in triples.items():
-        used: set[int] = set()
-        count = 0
+        used = count = 0
         for a, b, c in sorted(ts):
-            if {a, b, c} & used:
-                continue
-            used |= {a, b, c}
-            count += 1
+            abc = 1 << a | 1 << b | 1 << c
+            if not abc & used:
+                used |= abc
+                count += 1
         packing[i] = count
 
-    s_obs = max(shadowing_degree(arr, s, arr.u - priv.pi)[0], 1)
+    s_obs = max(shadowing_degree(arr, s, arr.umask & ~pi)[0], 1)
     r_bound = shadow_chi_r_of(p, max(s_obs, nested_s_of(p)))
 
     # Cross-block edges, directed from the earlier block to the later:

@@ -746,7 +746,7 @@ def _shadow_chi(
         return AuditCheck(
             "shadow_chi", "skipped", reason="second-neighbourhood hypothesis fails"
         )
-    chi = _chi_or_none(arr.graph, arr.umask & ~mask_of(privatization.pi))
+    chi = _chi_or_none(arr.graph, arr.umask & ~privatization.pi)
     if chi is None:
         return AuditCheck(
             "shadow_chi",
@@ -798,7 +798,7 @@ def extract_T_delta_witness(
     delta = p.delta
     v = violation.vertex
     cores = [t.core for t in arr.templates]
-    hs = arr.h_sets()
+    hs = arr.h_masks()
 
     if violation.kind == "core_contacts":
         indices = sorted(violation.indices)
@@ -807,13 +807,13 @@ def extract_T_delta_witness(
         # The largest index is unusable in general; 2*delta remain.
         chosen = indices[: 2 * delta]
         for i in chosen:
-            if v in hs[i]:
+            if hs[i] >> v & 1:
                 return WitnessResult(
                     None, None, "handle_inside_template",
                     f"handle {v} lies in template {i}",
                 )
         return _brooms(
-            g, v, delta, chosen, lambda i: cores[i].vertices(), "inside core"
+            g, v, delta, chosen, lambda i: cores[i].mask, "inside core"
         )
 
     # template_contacts replay
@@ -826,7 +826,7 @@ def extract_T_delta_witness(
         )
     carriers: dict[int, int] = {}
     for i in core_free:
-        att = g.bits[v] & arr.templates[i].hmask & ~cores[i].mask
+        att = g.bits[v] & hs[i] & ~cores[i].mask
         if not att:
             return WitnessResult(
                 None, None, "attachment_missing",
@@ -868,7 +868,7 @@ def extract_T_delta_witness(
         )
     return _brooms(
         g, v, delta, chosen,
-        lambda i: cores[i].vertices() | {carriers[i]}, "through template",
+        lambda i: cores[i].mask | 1 << carriers[i], "through template",
     )
 
 
@@ -877,10 +877,10 @@ def _brooms(
     handle: int,
     delta: int,
     chosen: list[int],
-    allowed: Callable[[int], frozenset[int]],
+    allowed: Callable[[int], int],
     where: str,
 ) -> WitnessResult:
-    """One broom per chosen index, inside ``allowed(i)``: delta
+    """One broom per chosen index, inside the mask ``allowed(i)``: delta
     (1,delta)-brooms, then delta (2,delta)-brooms, joined at the handle."""
     pieces: list[tuple[PatternTree, Embedding]] = []
     for pos, i in enumerate(chosen):

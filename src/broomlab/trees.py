@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    Graph, check_vertex_set, least_stable_subset, lowest, mask_of, members, neighbors_of,
+    Graph, least_stable_subset, lowest, mask_of, members, neighbors_of,
 )
 from .solvers import check_limit
 
@@ -264,18 +264,19 @@ def find_rooted_broom(
     handle: int,
     k: int,
     leaves: int,
-    allowed: frozenset[int],
+    allowed: int,
 ) -> Embedding | None:
     """Induced (k, leaves)-broom with a fixed handle.
 
-    All non-handle vertices come from ``allowed``; vertices outside it
-    may touch the broom.  Lowest-id choices first.
+    All non-handle vertices come from the vertex mask ``allowed``;
+    vertices outside it may touch the broom.  Lowest-id choices first.
     """
     check_limit("find_rooted_broom", host.n)
     host.check_vertex(handle)
-    allowed = check_vertex_set(host, allowed)
+    if allowed >> host.n:  # also catches a negative mask
+        raise ValueError(f"vertex mask outside 0..{host.n - 1}")
     pattern = build_broom(k, leaves)
-    pool = mask_of(allowed) & ~(1 << handle)
+    pool = allowed & ~(1 << handle)
     path = [handle]
 
     def extend_path(body: int) -> Embedding | None:

@@ -38,7 +38,7 @@ CALLS = {
     "find_core": lambda: find_core(DENSE, 2, 2),
     "contains_induced": lambda: contains_induced(SPARSE, build_T(1)),
     "contains_induced_absent": lambda: contains_induced(SPARSE, build_T(2)),
-    "find_rooted_broom": lambda: find_rooted_broom(SPARSE, 0, 2, 1, frozenset(range(30))),
+    "find_rooted_broom": lambda: find_rooted_broom(SPARSE, 0, 2, 1, (1 << 30) - 1),
     "least_stable_subset": lambda: least_stable_subset(DENSE, list(range(30)), 3),
     "max_matching_covered_chi": lambda: max_matching_covered_chi(
         Graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)]), 1),

@@ -7,7 +7,7 @@ import pytest
 
 from broomlab.constants import epsilon_of, shadow_chi_bound_of
 from broomlab.generators import FIXTURES, complete_multipartite
-from broomlab.graphs import Digraph, Graph
+from broomlab.graphs import Digraph, Graph, mask_of
 from broomlab.pipeline import run_pipeline
 from broomlab.shadows import Privatization
 from broomlab.solvers import solving, validate_coloring
@@ -537,7 +537,7 @@ def reach_array(reached, **kw):
 
 NESTED = Params(delta=1, tau=0, alpha=1, beta=2, zeta=1602, eta=1601)
 ONE = Params(delta=1, tau=1, alpha=1, beta=2, zeta=2, eta=1)
-NO_PI = Privatization(frozenset(), (), (), frozenset())
+NO_PI = Privatization(0, (), (), 0)
 SIDE_TEMPLATE = "needs eta >= delta and zeta >= max(eta, alpha) + delta"
 NO_PRIV = ("skipped", None, None, "no privatization supplied")
 
@@ -620,7 +620,7 @@ AUDIT_CASES = [
         "shadow_chi": ("skipped", None, None,
                        "unprivatized U exceeds the exact solver limit"),
     }),
-    (reach_array(8, params=NESTED), Privatization(frozenset(range(18, 27)), (), (), frozenset()),
+    (reach_array(8, params=NESTED), Privatization(mask_of(range(18, 27)), (), (), 0),
      None, {"shadow_chi": ("pass", 0, 0, "")}),
     (reach_array(9, params=ONE), NO_PI, None, {
         "core_contacts": ("pass", 2, 1, ""),

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from broomlab.graphs import Graph, induced
+from broomlab.graphs import Graph, induced, mask_of
 from broomlab.oracles import adjacency, contains_induced_oracle
 from broomlab.solvers import InstanceTooLarge, solving
 from broomlab.trees import (
@@ -264,7 +264,7 @@ def test_hereditary_consistency(pet):
 def test_find_rooted_broom_star_absent():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     emb = find_rooted_broom(
-        star, 0, 1, 3, allowed=frozenset({1, 2, 3})
+        star, 0, 1, 3, allowed=mask_of({1, 2, 3})
     )
     assert emb is None  # leaves would need neighbours of a leaf
 
@@ -274,7 +274,7 @@ def test_find_rooted_broom_complete_bipartite():
     g = complete_multipartite([2, zeta])  # parts {0,1} and {2..5}
     handle = 2
     emb = find_rooted_broom(
-        g, handle, 1, zeta - 1, allowed=frozenset(range(g.n)) - {handle}
+        g, handle, 1, zeta - 1, allowed=mask_of(range(g.n)) & ~(1 << handle)
     )
     assert emb is not None
     m = emb.as_dict()
@@ -285,12 +285,12 @@ def test_find_rooted_broom_complete_bipartite():
 
 def test_find_rooted_broom_empty_allowed():
     g = complete_multipartite([2, 4])
-    assert find_rooted_broom(g, 2, 1, 1, allowed=frozenset()) is None
+    assert find_rooted_broom(g, 2, 1, 1, allowed=0) is None
 
 
 def test_assemble_in_c7(c7):
-    one = find_rooted_broom(c7, 0, 1, 1, allowed=frozenset({1, 2}))
-    two = find_rooted_broom(c7, 0, 2, 1, allowed=frozenset({4, 5, 6}))
+    one = find_rooted_broom(c7, 0, 1, 1, allowed=mask_of({1, 2}))
+    two = find_rooted_broom(c7, 0, 2, 1, allowed=mask_of({4, 5, 6}))
     assert one is not None and two is not None
     result = assemble_T_delta(
         c7, 0, [(build_broom(1, 1), one), (build_broom(2, 1), two)]
@@ -305,8 +305,8 @@ def test_assemble_cross_edge_diagnostic():
     # between their leaf sets.
     edges = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (2, 5)]
     g = Graph(6, edges)
-    one = find_rooted_broom(g, 0, 1, 1, allowed=frozenset({1, 2}))
-    two = find_rooted_broom(g, 0, 2, 1, allowed=frozenset({3, 4, 5}))
+    one = find_rooted_broom(g, 0, 1, 1, allowed=mask_of({1, 2}))
+    two = find_rooted_broom(g, 0, 2, 1, allowed=mask_of({3, 4, 5}))
     assert one is not None and two is not None
     result = assemble_T_delta(
         g, 0, [(build_broom(1, 1), one), (build_broom(2, 1), two)]
@@ -316,7 +316,7 @@ def test_assemble_cross_edge_diagnostic():
 
 
 def test_assemble_overlap_is_error(c7):
-    one = find_rooted_broom(c7, 0, 1, 1, allowed=frozenset({1, 2}))
+    one = find_rooted_broom(c7, 0, 1, 1, allowed=mask_of({1, 2}))
     assert one is not None
     with pytest.raises(ValueError):
         assemble_T_delta(
